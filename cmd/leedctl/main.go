@@ -366,7 +366,8 @@ func usage() {
     leedctl [-benchout PATH] hotpath                   benchmark the serve path with
                                                        -benchmem semantics, write
                                                        BENCH_hotpath.json, exit non-zero
-                                                       if GET allocs/op exceeds the budget
+                                                       if GET or PUT allocs/op exceeds
+                                                       its budget
 
   cluster commands (no -image):
     leedctl -cluster soak [-seed N] [-scenario S] [ROUNDS]
@@ -797,8 +798,9 @@ func clusterLoadgen(manager string, clients int, workload string, records, seed 
 
 // hotpath runs the serve-path allocation benchmarks (the same ones `go test
 // -bench=Serve -benchmem ./internal/server/` runs), records the numbers as
-// JSON, and exits non-zero if the GET path exceeds its pinned allocs/op
-// budget — the CI gate for hot-path memory discipline (DESIGN.md §13).
+// JSON, and exits non-zero if the GET or PUT path exceeds its pinned
+// allocs/op budget — the CI gate for hot-path memory discipline (DESIGN.md
+// §13).
 func hotpath(outPath string) error {
 	if outPath == "" {
 		outPath = "BENCH_hotpath.json"

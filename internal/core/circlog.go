@@ -24,13 +24,18 @@ type CircLog struct {
 
 	// Group commit (§3.5's batched doorbells, applied to the log): Append
 	// only reserves space and stages the record; a zero-delay flush event
-	// merges everything staged at that instant into one device write. At
-	// most maxGroupWrites group writes are in flight — appends arriving
-	// with the pipeline full stage into the next group, so group size
-	// adapts to device latency: the slower the device, the more appends
-	// each write carries. Reservations are handed out contiguously, so the
-	// staged records always form a single logical range starting at
-	// stagedStart.
+	// merges everything staged by the time it runs into one device write.
+	// When it runs is the backend's After(0). On sim: behind every event
+	// already scheduled for that instant, so appends from all the tasks
+	// those events resume merge. On wallclock: when the appending task next
+	// releases the runtime lock — normally its park on the append's event —
+	// so what merges is what that one task staged, plus whatever piled up
+	// behind a full pipeline. At most maxGroupWrites group writes are in
+	// flight; appends arriving with the pipeline full stage into the next
+	// group, so group size adapts to device latency: the slower the device,
+	// the more appends each write carries. Reservations are handed out
+	// contiguously, so the staged records always form a single logical
+	// range starting at stagedStart.
 	staged      []stagedAppend
 	stagedStart int64
 	stagedBytes int64
@@ -251,8 +256,8 @@ func (l *CircLog) ReadAsync(logical int64, buf []byte) (runtime.Event, error) {
 // reads, mirroring submitWrap's two ops). done=false means the device
 // declined — not enabled, or no capability — and the caller should fall
 // back to ReadAsync; on that path no state has changed and nothing was
-// counted. This is the allocation-free leg of the GET hot path: the async
-// route costs an event, a submit closure, and a timer per read.
+// counted. This is the allocation-free leg of the hot paths: the async
+// route costs an event, an Op, a completion closure and a park per read.
 func (l *CircLog) ReadNow(logical int64, buf []byte) (done bool, err error) {
 	sr, ok := l.dev.(flashsim.SyncReader)
 	if !ok {

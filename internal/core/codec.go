@@ -122,20 +122,25 @@ func (b *Bucket) Marshal(dst []byte) error {
 	return nil
 }
 
-// UnmarshalBucket parses one block. The stored CRC is validated.
+// UnmarshalBucket parses one block. The stored CRC is validated. The
+// returned bucket never aliases src (callers parse out of recycled segment
+// buffers and compaction chunks): every key is sliced out of one copy of the
+// block's item area, and Items has room for the one insert a PUT may make —
+// three allocations per block however many items it holds.
 func UnmarshalBucket(src []byte) (*Bucket, error) {
-	if len(src) < bucketHdrSize {
-		return nil, fmt.Errorf("%w: short bucket block", ErrCorrupt)
+	if err := VerifyBucketBlock(src); err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint16(src[0:]) != bucketMagic {
-		return nil, fmt.Errorf("%w: bad bucket magic", ErrCorrupt)
-	}
-	stored := binary.LittleEndian.Uint32(src[8:])
-	tmp := make([]byte, len(src))
-	copy(tmp, src)
-	binary.LittleEndian.PutUint32(tmp[8:], 0)
-	if crc32.Checksum(tmp, castagnoli) != stored {
-		return nil, fmt.Errorf("%w: bucket crc mismatch", ErrCorrupt)
+	n := int(binary.LittleEndian.Uint16(src[12:]))
+	end := bucketHdrSize
+	for i := 0; i < n; i++ {
+		if end+itemHdrSize > len(src) {
+			return nil, fmt.Errorf("%w: truncated item header", ErrCorrupt)
+		}
+		end += itemHdrSize + int(src[end])
+		if end > len(src) {
+			return nil, fmt.Errorf("%w: truncated item key", ErrCorrupt)
+		}
 	}
 	b := &Bucket{
 		ChainLen:    src[2],
@@ -144,25 +149,20 @@ func UnmarshalBucket(src []byte) (*Bucket, error) {
 		ValHeadHint: int64(binary.LittleEndian.Uint64(src[16:])),
 		ValTailHint: int64(binary.LittleEndian.Uint64(src[24:])),
 		Seq:         binary.LittleEndian.Uint64(src[32:]),
+		Items:       make([]Item, n, n+1),
 	}
-	n := int(binary.LittleEndian.Uint16(src[12:]))
-	o := bucketHdrSize
-	for i := 0; i < n; i++ {
-		if o+itemHdrSize > len(src) {
-			return nil, fmt.Errorf("%w: truncated item header", ErrCorrupt)
+	area := append([]byte(nil), src[bucketHdrSize:end]...)
+	o := 0
+	for i := range b.Items {
+		k0 := o + itemHdrSize
+		k1 := k0 + int(area[o])
+		b.Items[i] = Item{
+			SSDID:  area[o+1],
+			ValLen: binary.LittleEndian.Uint32(area[o+2:]),
+			ValOff: int64(binary.LittleEndian.Uint64(area[o+6:])),
+			Key:    area[k0:k1:k1],
 		}
-		kl := int(src[o])
-		if o+itemHdrSize+kl > len(src) {
-			return nil, fmt.Errorf("%w: truncated item key", ErrCorrupt)
-		}
-		it := Item{
-			SSDID:  src[o+1],
-			ValLen: binary.LittleEndian.Uint32(src[o+2:]),
-			ValOff: int64(binary.LittleEndian.Uint64(src[o+6:])),
-			Key:    append([]byte(nil), src[o+itemHdrSize:o+itemHdrSize+kl]...),
-		}
-		b.Items = append(b.Items, it)
-		o += it.Size()
+		o = k1
 	}
 	return b, nil
 }

@@ -202,52 +202,18 @@ func (s *Store) segBytes(chainLen int) int64 {
 	return int64(chainLen) * int64(s.cfg.BlockSize)
 }
 
-// readSegment reads and parses the segment array from the home key log.
-// Caller holds the lock.
-func (s *Store) readSegment(p runtime.Task, st *OpStats, off int64, chainLen int) ([]*Bucket, error) {
-	buf := make([]byte, s.segBytes(chainLen))
-	ev, err := s.keyLog.ReadAsync(off, buf)
-	if err != nil {
-		return nil, err
-	}
-	st.Reads++
-	if err := s.ssdWait(p, st, ev); err != nil {
-		return nil, err
-	}
-	return s.parseSegment(buf, chainLen)
-}
-
-// segmentReadEv issues the read for a segment's array from wherever it
-// lives — the home key log or a peer's swap region (§3.6) — returning the
-// completion event and destination buffer.
-func (s *Store) segmentReadEv(seg uint32, off int64, chainLen int) (runtime.Event, []byte, error) {
-	buf := make([]byte, s.segBytes(chainLen))
-	devID, remote := s.segs.Location(seg)
-	if !remote {
-		ev, err := s.keyLog.ReadAsync(off, buf)
-		return ev, buf, err
-	}
-	peer, found := s.peers[devID]
-	if !found || peer.swapLog == nil {
-		return nil, nil, fmt.Errorf("%w: swapped segment on unknown peer %d", ErrCorrupt, devID)
-	}
-	ev, err := peer.swapLog.ReadAsync(off, buf)
-	return ev, buf, err
-}
-
 // loadSegment looks up and reads a segment's current array. found is false
-// when the segment is empty. Caller holds the lock.
+// when the segment is empty. Caller holds the lock. The read takes GetInto's
+// lane — a recycled buffer, inline when the device is a SyncReader — and the
+// buffer goes straight back: parsed buckets never alias it.
 func (s *Store) loadSegment(p runtime.Task, st *OpStats, seg uint32) (buckets []*Bucket, found bool, err error) {
 	off, chainLen, ok := s.segs.Lookup(seg)
 	if !ok {
 		return nil, false, nil
 	}
-	ev, buf, err := s.segmentReadEv(seg, off, chainLen)
-	if err != nil {
-		return nil, true, err
-	}
-	st.Reads++
-	if err := s.ssdWait(p, st, ev); err != nil {
+	buf := s.getBuf(int(s.segBytes(chainLen)))
+	defer s.putBuf(buf)
+	if err := s.readSegmentInto(p, st, seg, off, buf); err != nil {
 		return nil, true, err
 	}
 	b, err := s.parseSegment(buf, chainLen)
@@ -432,10 +398,9 @@ func (s *Store) readValueInto(p runtime.Task, st *OpStats, it *RawItem, entry []
 
 // GetInto is the allocation-free Get: it looks up key and appends the value
 // to dst, returning the extended slice. Where Get materializes every bucket
-// (UnmarshalBucket copies each key and the CRC check copies each block),
+// (UnmarshalBucket copies each block's item area) and a fresh value entry,
 // GetInto scans the serialized segment array in place from a recycled
-// buffer, verifying block CRCs without a copy, and reads the value entry
-// into a second recycled buffer. Costs are charged identically to Get —
+// buffer and reads the value entry into a second recycled buffer. Costs are charged identically to Get —
 // same hash/scan/parse cycles, same device reads in the same order — so the
 // two paths are interchangeable to the simulator's accounting; the only
 // behavioral difference is that blocks past the matching one are not
@@ -572,26 +537,17 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 	}
 	st.Writes++
 
-	// Segment read in parallel with the value write, from wherever the
-	// array currently lives.
-	off, chainLen, ok := s.segs.Lookup(seg)
-	var buckets []*Bucket
-	if ok {
-		readEv, buf, rerr := s.segmentReadEv(seg, off, chainLen)
-		if rerr != nil {
-			return rerr
-		}
-		st.Reads++
-		if err := s.ssdWait(p, st, readEv, valEv); err != nil {
-			return err
-		}
-		if buckets, err = s.parseSegment(buf, chainLen); err != nil {
-			return err
-		}
-	} else {
-		if err := s.ssdWait(p, st, valEv); err != nil {
-			return err
-		}
+	// Segment read overlapped with the value write, from wherever the array
+	// currently lives. On a SyncReader device the read completes inline and
+	// the value write's flush runs when this task parks on valEv.
+	buckets, ok, err := s.loadSegment(p, st, seg)
+	if werr := s.ssdWait(p, st, valEv); err == nil {
+		err = werr
+	}
+	if err != nil {
+		return err
+	}
+	if !ok {
 		buckets = []*Bucket{{}}
 	}
 

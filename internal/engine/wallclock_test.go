@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	goruntime "runtime"
 	"sort"
 	"testing"
 
 	"leed/internal/core"
+	"leed/internal/flashsim"
 	"leed/internal/platform"
 	"leed/internal/rpcproto"
 	"leed/internal/runtime"
@@ -121,5 +125,98 @@ func TestEngineEquivalenceSimVsWallclock(t *testing.T) {
 	if fmt.Sprint(simKV) != fmt.Sprint(wcKV) {
 		t.Errorf("engine contents diverge between backends:\nsim (%d): %v\nwc  (%d): %v",
 			len(simKV), simKV, len(wcKV), wcKV)
+	}
+}
+
+// TestWallclockWritesKeepCompactorsFed guards the store against wedging by
+// way of the scheduler. On a zero-latency device with inline reads a caller
+// never blocks its goroutine (every wait is satisfied by the run-queue drain
+// it performs on its way into Park), so the compactors' 1 ms poll runs only
+// if the runtime yields to timers; starve it and the key log fills, PUTs
+// fail with ErrLogFull and the partition is dead. The engine is shaped like
+// the benchmark's store-a: MemDevices with inline reads, 2 x 2 partitions,
+// planned geometry with the key log enlarged 8x. One caller on one P is the
+// benchmark's latency phase, sixteen on two its saturation phase.
+func TestWallclockWritesKeepCompactorsFed(t *testing.T) {
+	const (
+		keys, keyLen, valLen = 10_000, 16, 256
+		devices, perDev      = 2, 2
+	)
+	for _, tc := range []struct{ procs, callers int }{{1, 1}, {2, 16}} {
+		t.Run(fmt.Sprintf("procs%d-callers%d", tc.procs, tc.callers), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(tc.procs))
+			partBytes := int64(4 << 20)
+			for core.PlanPartition(partBytes, keyLen, valLen, core.PlanOpts{}).ObjectBudget < keys/(devices*perDev)*8 {
+				partBytes += 256 << 10
+			}
+			geo := core.PlanPartition(partBytes, keyLen, valLen, core.PlanOpts{})
+			grow := 7 * geo.KeyLogBytes
+			geo.KeyLogBytes += grow
+			partBytes += grow
+
+			env := wallclock.New()
+			devs := make([]flashsim.Device, devices)
+			for i := range devs {
+				d := flashsim.NewMemDevice(env, partBytes*perDev)
+				d.SetSyncReads(true)
+				devs[i] = d
+			}
+			eng := New(Config{Env: env, Devices: devs, PartitionsPerSSD: perDev, Geometry: geo, PartitionBytes: partBytes})
+			eng.Start()
+			handles := eng.Handles()
+
+			// Run for a second, and (for the race detector's sake) until
+			// enough PUTs have landed — one 512 B block each, spread evenly
+			// — to carry every partition's key log well past its
+			// compaction trigger at 3/4 full.
+			minPuts := int(5 * geo.KeyLogBytes / 4 / 512 * int64(len(handles)))
+			val := make([]byte, valLen)
+			keyTab := make([][]byte, keys)
+			for i := range keyTab {
+				keyTab[i] = []byte(fmt.Sprintf("key-%012d", i))
+			}
+			var puts, logFull, otherErrs int
+			for c := 0; c < tc.callers; c++ {
+				rng := rand.New(rand.NewSource(int64(c)))
+				env.Spawn("caller", func(p runtime.Task) {
+					var dst []byte
+					for p.Now() < runtime.Second || puts < minPuts {
+						ki := rng.Intn(keys)
+						key, h := keyTab[ki], handles[ki%len(handles)]
+						var err error
+						if rng.Intn(2) == 0 {
+							puts++
+							_, _, err = h.Execute(p, rpcproto.OpPut, key, val)
+						} else {
+							dst, _, err = h.ExecuteTracedInto(p, rpcproto.OpGet, key, nil, dst[:0], nil)
+						}
+						switch {
+						case err == nil, errors.Is(err, core.ErrNotFound):
+						case errors.Is(err, core.ErrLogFull):
+							logFull++
+						default:
+							otherErrs++
+						}
+					}
+				})
+			}
+			var compactions int64
+			env.Spawn("stop", func(p runtime.Task) {
+				for p.Now() < runtime.Second || puts < minPuts {
+					p.Sleep(10 * runtime.Millisecond)
+				}
+				eng.Stop()
+				for pid := range handles {
+					compactions += eng.Partition(pid).Store.Stats().KeyCompactions
+				}
+			})
+			env.Wait()
+			if logFull != 0 || otherErrs != 0 {
+				t.Errorf("%d calls failed with ErrLogFull, %d with other errors; want none", logFull, otherErrs)
+			}
+			if compactions == 0 {
+				t.Error("no key-log compaction ran: the compactors were starved")
+			}
+		})
 	}
 }

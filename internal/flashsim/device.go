@@ -69,9 +69,9 @@ type Device interface {
 
 // SyncReader is an optional Device capability: serve a read synchronously,
 // in the caller's task context, with no event machinery. The async Submit
-// path costs several allocations per op (events, closures, timers), which
-// is the right price for modeled latency but pure overhead on a
-// zero-latency device. TryReadAt returns false when the device cannot (or
+// path costs an Op, a completion event, a closure and a park per read —
+// the right price for modeled latency but pure overhead on a zero-latency
+// device. TryReadAt returns false when the device cannot (or
 // is not configured to) serve the read inline; the caller then falls back
 // to Submit. A true return means dst is filled and the read has been
 // counted in Stats exactly as a submitted read would be.

@@ -1,5 +1,6 @@
 // Package wallclock implements runtime.Env on real time: tasks are plain
-// goroutines, Sleep is time.Sleep, and timers are time.AfterFunc.
+// goroutines, Sleep is time.Sleep, timers with a positive delay are
+// time.AfterFunc, and zero-delay work goes through an Env-owned run queue.
 //
 // The backend keeps the execution contract the store code was written for —
 // at most one task runs at any instant — with a single environment-wide
@@ -10,6 +11,16 @@
 // still accessed one task at a time, so the unlocked data structures in
 // core/engine/flashsim are race-free here too (and `go test -race` agrees).
 //
+// Zero-delay callbacks — After(0, fn), Event.OnFire fan-out, device
+// completions, group-commit flushes, transport inbox drains — never touch a
+// timer or start a goroutine. They are appended to a FIFO run queue, and
+// whoever holds the runtime lock drains that queue on its way out (Park,
+// Sleep, task exit, the end of a timer callback or an offload completion;
+// see release). That is the paper's run-to-completion loop (§3.4): a task
+// whose completion is produced by the drain it runs on its way into Park
+// finds its wake token already waiting and carries on, on the same
+// goroutine, without a timer, a goroutine start or a context switch.
+//
 // What wallclock does NOT provide is determinism: goroutine wakeup order
 // under contention is up to the Go scheduler and the OS clock. Use the sim
 // backend for reproducible experiments.
@@ -17,6 +28,7 @@ package wallclock
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,14 +42,27 @@ type Env struct {
 	start time.Time
 	ntask atomic.Int64 // task name counter
 
-	// Inflight work counter: spawned tasks, pending timers, and offloads.
-	// A plain mutex-guarded counter instead of sync.WaitGroup because
-	// transports inject work via After from raw goroutines (socket readers)
-	// that may race with Wait — WaitGroup forbids Add concurrent with Wait
-	// at counter zero, a counter with a condvar does not.
+	// The run queue: zero-delay callbacks in registration order. rqmu is a
+	// leaf lock (nothing is called while holding it), so any goroutine may
+	// enqueue, with or without the runtime lock. Only the holder of mu pops.
+	// rqn mirrors len(rq) so release can re-check the queue after Unlock
+	// without taking rqmu; rqspare is the previously drained slice, owned by
+	// the holder of mu and recycled so a steady state enqueues alloc-free.
+	rqmu    sync.Mutex
+	rq      []runEntry
+	rqn     atomic.Int32
+	rqspare []runEntry
+
+	releases uint32 // release calls, guarded by mu; paces the yield
+
+	// Inflight work counter: spawned tasks, queued callbacks, pending timers,
+	// and offloads. An atomic instead of sync.WaitGroup because transports
+	// inject work via After from raw goroutines (socket readers) that may
+	// race with Wait — WaitGroup forbids Add concurrent with Wait at counter
+	// zero. The condvar is touched only when the count reaches zero.
+	inflight atomic.Int64
 	wgmu     sync.Mutex
-	wgcond   *sync.Cond // lazily initialized under wgmu
-	inflight int
+	wgcond   *sync.Cond
 
 	// The offload pool. offmu is a leaf lock ordered after mu: Offload is
 	// called with mu held, workers take mu only while not holding offmu.
@@ -50,6 +75,24 @@ type Env struct {
 	offworkers int // started workers (parked or running)
 	offidle    int // workers parked in offcond.Wait
 }
+
+// runEntry is one queued zero-delay callback: fn(), or fnv(val) for an event
+// callback, which carries its payload here instead of in a closure.
+type runEntry struct {
+	fn  func()
+	fnv func(val any)
+	val any
+}
+
+// yieldEvery is how many lock releases pass between runtime.Gosched calls.
+// A task that keeps finding its wake token already posted never blocks its
+// goroutine, so on one P the Go scheduler never runs and time.Sleep /
+// time.AfterFunc deadlines are noticed only at sysmon's 10 ms preemption:
+// the engine's 1 ms compaction poll gets a tenth of its rounds and the key
+// log fills. Yielding every 64th release (tens of microseconds of store
+// work) keeps d > 0 timers within about a millisecond of their deadline and
+// lets goroutines queued on the runtime lock take a turn.
+const yieldEvery = 64
 
 // maxOffloadWorkers bounds the I/O worker pool. Offloaded jobs are short
 // (one batch of syscalls); a small pool keeps real parallelism without
@@ -73,7 +116,9 @@ var (
 
 // New returns a wall-clock environment whose clock starts at zero now.
 func New() *Env {
-	return &Env{start: time.Now()}
+	e := &Env{start: time.Now()}
+	e.wgcond = sync.NewCond(&e.wgmu)
+	return e
 }
 
 // Now returns the time elapsed since New, in nanoseconds.
@@ -81,34 +126,97 @@ func (e *Env) Now() runtime.Time { return runtime.Time(time.Since(e.start)) }
 
 // track registers one unit of inflight work; untrack retires it and wakes
 // Wait when the count reaches zero. Safe from any goroutine.
-func (e *Env) track() {
-	e.wgmu.Lock()
-	e.inflight++
-	e.wgmu.Unlock()
-}
+func (e *Env) track() { e.inflight.Add(1) }
 
 func (e *Env) untrack() {
-	e.wgmu.Lock()
-	e.inflight--
-	if e.inflight == 0 && e.wgcond != nil {
+	if e.inflight.Add(-1) == 0 {
+		e.wgmu.Lock()
 		e.wgcond.Broadcast()
+		e.wgmu.Unlock()
 	}
-	e.wgmu.Unlock()
 }
 
 // After schedules fn to run d from now in scheduler context (holding the
-// runtime lock). Wait blocks until all pending timers have run.
+// runtime lock). With d <= 0 fn joins the run queue: it runs after the
+// current task stops running, after every callback queued before it, and
+// never inside this call when the caller is in task or scheduler context.
+// Wait blocks until all pending callbacks and timers have run.
 func (e *Env) After(d runtime.Time, fn func()) {
-	if d < 0 {
-		d = 0
+	if d <= 0 {
+		e.enqueue(runEntry{fn: fn})
+		return
 	}
 	e.track()
 	time.AfterFunc(time.Duration(d), func() {
-		defer e.untrack()
 		e.mu.Lock()
-		defer e.mu.Unlock()
 		fn()
+		e.release()
+		e.untrack()
 	})
+}
+
+// enqueue appends one callback to the run queue. A caller in task or
+// scheduler context holds mu, so its TryLock fails and the entry waits for
+// that caller's own release. A raw goroutine (socket reader, offload
+// worker) either takes the idle lock and drains on the spot, or fails
+// because some holder exists — and every holder re-checks the queue after
+// it unlocks (see release), so the entry is never stranded between the two.
+func (e *Env) enqueue(ent runEntry) {
+	e.track()
+	e.rqmu.Lock()
+	e.rq = append(e.rq, ent)
+	e.rqn.Add(1)
+	e.rqmu.Unlock()
+	if e.mu.TryLock() {
+		e.release()
+	}
+}
+
+// drain runs queued callbacks in FIFO order until the queue is empty,
+// including those the callbacks themselves enqueue. Caller holds mu.
+func (e *Env) drain() {
+	for e.rqn.Load() != 0 {
+		e.rqmu.Lock()
+		batch := e.rq
+		e.rq = e.rqspare[:0]
+		e.rqn.Store(0)
+		e.rqmu.Unlock()
+		for i := range batch {
+			ent := batch[i]
+			batch[i] = runEntry{}
+			if ent.fnv != nil {
+				ent.fnv(ent.val)
+			} else {
+				ent.fn()
+			}
+			e.untrack()
+		}
+		e.rqspare = batch
+	}
+}
+
+// release gives up the runtime lock. Every path that unlocks mu goes
+// through here, and the rule is: drain the run queue first, while still
+// holding the lock. The drain is immediate rather than deferred until other
+// woken tasks have run — holding it back does merge more appends per group
+// commit, but makes every park in a latency-bound PUT wait for unrelated
+// tasks to take a step. After Unlock the queue is checked once more: a raw
+// goroutine may have enqueued after the drain saw an empty queue and then
+// failed its TryLock against us; if the lock cannot be retaken, its new
+// holder inherits the duty. See yieldEvery for the periodic Gosched.
+func (e *Env) release() {
+	e.releases++
+	yield := e.releases%yieldEvery == 0
+	for {
+		e.drain()
+		e.mu.Unlock()
+		if e.rqn.Load() == 0 || !e.mu.TryLock() {
+			break
+		}
+	}
+	if yield {
+		goruntime.Gosched()
+	}
 }
 
 // Spawn starts fn as a new task goroutine. The task body runs holding the
@@ -124,21 +232,18 @@ func (e *Env) Spawn(name string, fn func(t runtime.Task)) {
 	go func() {
 		defer e.untrack()
 		e.mu.Lock()
-		defer e.mu.Unlock()
+		defer e.release()
 		fn(t)
 	}()
 }
 
-// Wait blocks until every spawned task has returned, every pending timer
-// has run, and every offloaded job has completed. Call it from the owning
-// goroutine (not from a task) after the last Spawn; it is the wall-clock
-// analogue of Kernel.Run draining the heap.
+// Wait blocks until every spawned task has returned, every queued callback
+// and pending timer has run, and every offloaded job has completed. Call it
+// from the owning goroutine (not from a task) after the last Spawn; it is
+// the wall-clock analogue of Kernel.Run draining the heap.
 func (e *Env) Wait() {
 	e.wgmu.Lock()
-	if e.wgcond == nil {
-		e.wgcond = sync.NewCond(&e.wgmu)
-	}
-	for e.inflight > 0 {
+	for e.inflight.Load() > 0 {
 		e.wgcond.Wait()
 	}
 	e.wgmu.Unlock()
@@ -180,13 +285,17 @@ func (e *Env) offloadWorker() {
 		v := job.fn()
 		e.mu.Lock()
 		job.done(v)
-		e.mu.Unlock()
+		e.release()
 		e.untrack()
 	}
 }
 
 // MakeEvent implements runtime.Env.
-func (e *Env) MakeEvent() runtime.Event { return &event{env: e} }
+func (e *Env) MakeEvent() runtime.Event {
+	ev := &event{env: e}
+	ev.waiters, ev.cbs = ev.w0[:0], ev.cb0[:0]
+	return ev
+}
 
 // MakeQueue implements runtime.Env.
 func (e *Env) MakeQueue() runtime.Queue { return &queue{} }
@@ -230,7 +339,7 @@ func (t *task) Sleep(d runtime.Time) {
 	if d < 0 {
 		d = 0
 	}
-	t.env.mu.Unlock()
+	t.env.release()
 	time.Sleep(time.Duration(d))
 	t.env.mu.Lock()
 }
@@ -247,10 +356,12 @@ func (t *task) Prepare() runtime.Ticket {
 // Park blocks until the current ticket is woken, releasing the runtime lock
 // while parked. Wakeups may be spurious (a second Wake on a still-valid
 // ticket leaves a token for the next Park); primitives loop on their
-// condition, as the runtime.Task contract requires.
+// condition, as the runtime.Task contract requires. When the drain inside
+// release already produced the wakeup, the receive below does not block and
+// the task continues on this goroutine.
 func (t *task) Park() {
 	t.parked = true
-	t.env.mu.Unlock()
+	t.env.release()
 	<-t.park
 	t.env.mu.Lock()
 	t.parked = false
@@ -293,12 +404,16 @@ func (tk *ticket) WakeAfter(d runtime.Time) {
 }
 
 // event is the wall-clock runtime.Event. All fields are guarded by env.mu.
+// w0 and cb0 back the waiter and callback lists inline: nearly every event
+// has one of either, so registering it allocates nothing.
 type event struct {
 	env     *Env
 	fired   bool
 	val     any
 	waiters []*ticket
 	cbs     []func(val any)
+	w0      [1]*ticket
+	cb0     [1]func(val any)
 }
 
 // Fire marks the event complete, wakes all waiters, and schedules all
@@ -313,12 +428,10 @@ func (e *event) Fire(val any) {
 		tk.Wake()
 	}
 	e.waiters = nil
-	cbs := e.cbs
-	e.cbs = nil
-	for _, cb := range cbs {
-		cb := cb
-		e.env.After(0, func() { cb(val) })
+	for _, cb := range e.cbs {
+		e.env.enqueue(runEntry{fnv: cb, val: val})
 	}
+	e.cbs = nil
 }
 
 // Fired reports whether the event has fired.
@@ -331,8 +444,7 @@ func (e *event) Value() any { return e.val }
 // is scheduled immediately.
 func (e *event) OnFire(fn func(val any)) {
 	if e.fired {
-		v := e.val
-		e.env.After(0, func() { fn(v) })
+		e.env.enqueue(runEntry{fnv: fn, val: e.val})
 		return
 	}
 	e.cbs = append(e.cbs, fn)

@@ -1,8 +1,12 @@
 package wallclock
 
 import (
+	"fmt"
+	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"leed/internal/runtime"
 )
@@ -56,14 +60,13 @@ func TestEventOnFire(t *testing.T) {
 	env.Spawn("firer", func(tk runtime.Task) {
 		ev.OnFire(func(v any) { ran = append(ran, v.(int)) })
 		ev.Fire(1)
-		// Registering after the fire still schedules the callback. Unlike
-		// sim, wallclock does not order same-instant callbacks, so assert
-		// only that both ran.
+		// Registering after the fire still schedules the callback, behind
+		// the one the fire queued.
 		ev.OnFire(func(any) { ran = append(ran, 2) })
 	})
 	env.Wait()
-	if len(ran) != 2 || ran[0]+ran[1] != 3 {
-		t.Fatalf("callbacks ran as %v, want {1,2} in some order", ran)
+	if fmt.Sprint(ran) != "[1 2]" {
+		t.Fatalf("callbacks ran as %v, want [1 2]", ran)
 	}
 }
 
@@ -182,5 +185,176 @@ func TestManyTasksSharedState(t *testing.T) {
 	}
 	if hist.Count() != tasks*opsPer {
 		t.Fatalf("histogram count = %d, want %d", hist.Count(), tasks*opsPer)
+	}
+}
+
+// The scheduler battery: what the run queue promises (ordering, no
+// re-entrancy, nothing stranded, timers not starved). The allocation half is
+// in alloc_test.go, which the race detector does not build.
+
+// TestRunQueueOrderAndReentrancy: zero-delay callbacks — After(0), a fire's
+// OnFire fan-out, OnFire on a fired event, and callbacks queued by callbacks
+// — run in registration order, after the task that queued them stops
+// running, and never inside the call that queued them.
+func TestRunQueueOrderAndReentrancy(t *testing.T) {
+	env := New()
+	var order []string
+	inCall, reentered := false, false
+	note := func(name string) {
+		if inCall {
+			reentered = true
+		}
+		order = append(order, name)
+	}
+	call := func(fn func()) {
+		inCall = true
+		fn()
+		inCall = false
+	}
+	env.Spawn("queuer", func(tk runtime.Task) {
+		ev := env.MakeEvent()
+		call(func() {
+			env.After(0, func() {
+				note("a0")
+				call(func() { env.After(0, func() { note("a0-child") }) })
+			})
+		})
+		ev.OnFire(func(v any) { note("cb-" + v.(string)) })
+		call(func() { env.After(0, func() { note("a1") }) })
+		call(func() { ev.Fire("fired") })
+		call(func() { env.After(0, func() { note("a2") }) })
+		call(func() { ev.OnFire(func(any) { note("cb-late") }) })
+		if len(order) != 0 {
+			t.Errorf("callbacks %v ran while the queuing task was still running", order)
+		}
+	})
+	env.Wait()
+	if want := "[a0 a1 cb-fired a2 cb-late a0-child]"; fmt.Sprint(order) != want {
+		t.Errorf("callbacks ran as %v, want %s", order, want)
+	}
+	if reentered {
+		t.Error("a callback ran inside the After/Fire/OnFire that queued it")
+	}
+}
+
+// TestRawAfterNeverStranded hammers the hand-over between raw goroutines and
+// lock holders: an After(0) whose TryLock loses to a holder that has already
+// drained must still be picked up by that holder's re-check.
+func TestRawAfterNeverStranded(t *testing.T) {
+	env := New()
+	const raws, perRaw = 8, 10_000
+	ran := make([]int32, raws*perRaw) // written by callbacks, i.e. under the runtime lock
+	var stop atomic.Bool
+
+	// Two tasks that park and wake each other continuously, so the lock is
+	// taken and released at the highest rate the backend can manage.
+	ping, pong := env.MakeQueue(), env.MakeQueue()
+	env.Spawn("pong", func(tk runtime.Task) {
+		for ping.Get(tk) != nil {
+			pong.Put(1)
+		}
+	})
+	env.Spawn("ping", func(tk runtime.Task) {
+		for !stop.Load() {
+			ping.Put(1)
+			pong.Get(tk)
+		}
+		ping.Put(nil)
+	})
+
+	var wg sync.WaitGroup
+	for g := 0; g < raws; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perRaw; i++ {
+				slot := &ran[g*perRaw+i]
+				env.After(0, func() { *slot++ })
+			}
+		}(g)
+	}
+	wg.Wait()
+	stop.Store(true)
+
+	done := make(chan struct{})
+	go func() {
+		env.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Env.Wait did not return: a queued callback was stranded")
+	}
+	for i, n := range ran {
+		if n != 1 {
+			t.Fatalf("callback %d ran %d times, want exactly once", i, n)
+		}
+	}
+}
+
+// TestReleaseRechecksQueue isolates the re-check after Unlock. Two raw
+// goroutines step through rounds in lockstep and call After(0) at the same
+// moment; nothing else ever takes the lock. When one loses its TryLock to
+// the other after that one's drain has already seen an empty queue, only the
+// winner's look at the queue after Unlock can run the loser's callback.
+func TestReleaseRechecksQueue(t *testing.T) {
+	env := New()
+	const rounds = 500_000
+	var gate atomic.Int64
+	arrive := func(round int64) { // both sides leave together
+		gate.Add(1)
+		for gate.Load() < 2*round {
+			goruntime.Gosched()
+		}
+	}
+	go func() {
+		for r := int64(1); r <= rounds; r++ {
+			arrive(r)
+			env.After(0, func() {})
+		}
+	}()
+	ran := make(chan struct{}, 1)
+	signal := func() { ran <- struct{}{} }
+	timeout := time.After(30 * time.Second) // the whole test takes about a second
+	for r := int64(1); r <= rounds; r++ {
+		arrive(r)
+		env.After(0, signal)
+		select {
+		case <-ran:
+		case <-timeout:
+			t.Fatalf("round %d: callback stranded behind a holder that had already drained", r)
+		}
+	}
+	env.Wait()
+}
+
+// TestTimersPromptUnderBusyRunQueue: on one P, a task whose every wait is
+// satisfied by its own drain never blocks its goroutine, so without the
+// periodic yield in release the Go scheduler — and with it every
+// time.Sleep deadline — runs only at sysmon's 10 ms preemption and the
+// sleeper below manages about ten rounds.
+func TestTimersPromptUnderBusyRunQueue(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	env := New()
+	stop := false
+	rounds := 0
+	env.Spawn("busy", func(tk runtime.Task) {
+		for end := tk.Now() + 100*runtime.Millisecond; tk.Now() < end; {
+			ev := env.MakeEvent()
+			env.After(0, func() { ev.Fire(nil) })
+			tk.Wait(ev)
+		}
+		stop = true
+	})
+	env.Spawn("sleeper", func(tk runtime.Task) {
+		for !stop {
+			tk.Sleep(runtime.Millisecond)
+			rounds++
+		}
+	})
+	env.Wait()
+	if rounds < 30 {
+		t.Fatalf("1 ms sleeper completed %d rounds in 100 ms beside a busy run queue, want >= 30", rounds)
 	}
 }

@@ -20,6 +20,35 @@ import (
 // counted across every goroutine involved — client, transport, server
 // workers, engine, store, device.
 func TestServeGetAllocBudget(t *testing.T) {
+	dst := make([]byte, 0, 256)
+	got := servedAllocs(t, func(p runtime.Task, cl *server.Client, key []byte) (err error) {
+		dst, err = cl.GetInto(p, key, dst[:0])
+		return err
+	})
+	if got > bench.GetAllocBudget {
+		t.Errorf("served GET = %.1f allocs/op, budget %d", got, bench.GetAllocBudget)
+	}
+}
+
+// TestServePutAllocBudget is the write path's gate: value-entry and segment
+// images, parsed buckets, completion events and the group-commit fan-out
+// still allocate, and bench.PutAllocBudget is the ceiling they may not grow
+// past.
+func TestServePutAllocBudget(t *testing.T) {
+	val := testVal(8)
+	got := servedAllocs(t, func(p runtime.Task, cl *server.Client, key []byte) error {
+		return cl.Put(p, key, val)
+	})
+	if got > bench.PutAllocBudget {
+		t.Errorf("served PUT = %.1f allocs/op, budget %d", got, bench.PutAllocBudget)
+	}
+}
+
+// servedAllocs builds the full serve stack over the inproc transport and
+// in-memory devices with inline reads, preloads eight keys, warms every pool
+// and free list with 500 calls of op over those keys, and returns op's
+// steady-state allocations per call.
+func servedAllocs(t *testing.T, op func(p runtime.Task, cl *server.Client, key []byte) error) float64 {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the serve path")
 	}
@@ -41,6 +70,7 @@ func TestServeGetAllocBudget(t *testing.T) {
 	inp := transport.NewInproc(env, transport.InprocOptions{})
 	srv.Serve(inp)
 
+	var got float64
 	env.Spawn("alloc-driver", func(p runtime.Task) {
 		conn, err := inp.Dial(p)
 		if err != nil {
@@ -53,30 +83,26 @@ func TestServeGetAllocBudget(t *testing.T) {
 			cl.Close()
 			srv.Close()
 		}()
-		for i := 0; i < 8; i++ {
-			if err := cl.Put(p, testKey(i), testVal(i)); err != nil {
+		var keys [8][]byte
+		for i := range keys {
+			keys[i] = testKey(i)
+			if err := cl.Put(p, keys[i], testVal(i)); err != nil {
 				t.Errorf("put %d: %v", i, err)
 				return
 			}
 		}
-		dst := make([]byte, 0, 256)
-		for i := 0; i < 500; i++ { // warm every pool and free list
-			if dst, err = cl.GetInto(p, testKey(i%8), dst[:0]); err != nil {
-				t.Errorf("warmup get: %v", err)
-				return
-			}
-		}
 		i := 0
-		got := testing.AllocsPerRun(300, func() {
-			var err error
-			if dst, err = cl.GetInto(p, testKey(i%8), dst[:0]); err != nil {
-				t.Errorf("get: %v", err)
+		call := func() {
+			if err := op(p, cl, keys[i%len(keys)]); err != nil {
+				t.Errorf("call %d: %v", i, err)
 			}
 			i++
-		})
-		if got > bench.GetAllocBudget {
-			t.Errorf("served GET = %.1f allocs/op, budget %d", got, bench.GetAllocBudget)
 		}
+		for i < 500 {
+			call()
+		}
+		got = testing.AllocsPerRun(300, call)
 	})
 	env.Wait()
+	return got
 }

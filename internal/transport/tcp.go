@@ -27,11 +27,13 @@ import (
 // with single large writes, so a burst of pipelined responses costs one
 // syscall, not one per response.
 
-// inbox orders deliveries from a raw goroutine into a runtime queue.
-// Multiple After(0) callbacks carry no ordering guarantee on the wallclock
-// backend (each is its own timer goroutine racing for the runtime lock), so
-// the reader appends to a mutex-guarded slice and schedules a single drain;
-// the drain moves everything in arrival order.
+// inbox hands deliveries from a raw goroutine to a runtime queue. The reader
+// appends to a mutex-guarded slice and schedules a single drain per burst,
+// so a run of frames costs one After(0) — one pass through the runtime lock
+// — rather than one each; the drain moves everything in arrival order. On
+// the wallclock backend After(0) from a raw goroutine takes the runtime lock
+// if it is idle and runs the drain on the reader goroutine itself; otherwise
+// the current holder runs it when it releases the lock.
 type inbox struct {
 	env     runtime.Env
 	q       runtime.Queue
