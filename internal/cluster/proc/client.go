@@ -137,10 +137,15 @@ func (c *Client) Refresh(t runtime.Task) error {
 	if c.view != nil {
 		epoch = c.view.Epoch
 	}
-	vp, err := hbExchange(t, c.mgrConn, &rpcproto.Heartbeat{Node: 0, Epoch: epoch})
+	// Concurrent callers share the connection; whichever sees it fail first
+	// drops it, and the others must not drop its replacement.
+	conn := c.mgrConn
+	vp, err := hbExchange(t, conn, &rpcproto.Heartbeat{Node: 0, Epoch: epoch})
 	if err != nil {
-		c.mgrConn.Close()
-		c.mgrConn = nil
+		conn.Close()
+		if c.mgrConn == conn {
+			c.mgrConn = nil
+		}
 		return err
 	}
 	v, addrs := viewFromPush(vp)

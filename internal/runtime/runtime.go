@@ -39,6 +39,17 @@ type Env interface {
 	// the execution contract — it gets its inputs up front and communicates
 	// results only through its return value.
 	Offload(fn func() any, done func(v any))
+	// AfterIdle runs fn once, outside the execution contract, when the
+	// environment next goes quiet: at the first point where the runtime
+	// lock is given up with no zero-delay callback queued and no task woken
+	// or spawned that has yet to run. The deferral is bounded — a busy
+	// environment that never goes quiet still runs fn within a fixed number
+	// of lock hand-offs. It is the seam for work that gains from batching
+	// across tasks (a coalesced socket write). Like Offload's fn, fn must
+	// not touch Env state or structures protected by the execution
+	// contract. Call in task or scheduler context. The sim backend runs fn
+	// as After(0, fn).
+	AfterIdle(fn func())
 	// MakeEvent returns an unfired one-shot completion event.
 	MakeEvent() Event
 	// MakeQueue returns an empty unbounded FIFO queue.
@@ -68,6 +79,13 @@ type Task interface {
 	// Park blocks until a ticket from the most recent Prepare is woken.
 	// Wakeups may be spurious; callers must loop on their condition.
 	Park()
+	// Blocking runs fn on the task while it is released from the execution
+	// contract, so fn may block in a syscall (a socket read, an accept)
+	// without stalling other tasks; the task resumes under the contract
+	// when fn returns. The wallclock backend gives up the runtime lock
+	// around fn, as Sleep does; the sim backend runs fn inline. fn must not
+	// touch state protected by the contract.
+	Blocking(fn func())
 }
 
 // Ticket is a one-shot wakeup permit issued by Task.Prepare. A ticket whose

@@ -12,14 +12,25 @@
 // core/engine/flashsim are race-free here too (and `go test -race` agrees).
 //
 // Zero-delay callbacks — After(0, fn), Event.OnFire fan-out, device
-// completions, group-commit flushes, transport inbox drains — never touch a
-// timer or start a goroutine. They are appended to a FIFO run queue, and
-// whoever holds the runtime lock drains that queue on its way out (Park,
-// Sleep, task exit, the end of a timer callback or an offload completion;
-// see release). That is the paper's run-to-completion loop (§3.4): a task
-// whose completion is produced by the drain it runs on its way into Park
-// finds its wake token already waiting and carries on, on the same
-// goroutine, without a timer, a goroutine start or a context switch.
+// completions, group-commit flushes — never touch a timer or start a
+// goroutine. They are appended to a FIFO run queue, and whoever holds the
+// runtime lock drains that queue on its way out (Park, Sleep, Blocking,
+// task exit, the end of a timer callback or an offload completion; see
+// release). That is the paper's run-to-completion loop (§3.4): a task whose
+// completion is produced by the drain it runs on its way into Park finds
+// its wake token already waiting and carries on, on the same goroutine,
+// without a timer, a goroutine start or a context switch.
+//
+// Two primitives let a task step outside the contract without a goroutine
+// hand-off. Task.Blocking releases the lock around a blocking syscall made
+// on the task's own goroutine (a socket read), the shape Sleep has.
+// Env.AfterIdle defers a hook to the first release that finds the
+// environment quiet — run queue empty, and no task woken, spawned or back
+// from a blocking call that has yet to take the lock — and runs it there,
+// after Unlock, on the releasing goroutine. A transport flushes its
+// coalesced writes from such a hook, so everything every task queued in a
+// burst leaves in one syscall. The deferral is bounded by the same
+// yieldEvery pacing as the periodic Gosched.
 //
 // What wallclock does NOT provide is determinism: goroutine wakeup order
 // under contention is up to the Go scheduler and the OS clock. Use the sim
@@ -55,11 +66,26 @@ type Env struct {
 
 	releases uint32 // release calls, guarded by mu; paces the yield
 
+	// Idle hooks (AfterIdle), in registration order. idle is guarded by mu;
+	// idlespare, the slice the last hook run emptied, is handed back after
+	// the run without mu and is therefore guarded by rqmu. woken and waking
+	// count tasks made runnable that have not yet taken mu: woken the parked
+	// tasks a Wake has sent a token (incremented by the waker and
+	// decremented by the task, both under mu, so a plain int keeps the
+	// park/wake path free of atomics), waking the Spawns and returns from
+	// Sleep or Blocking, which happen off the lock. The environment is quiet
+	// when both counts and the run queue are zero.
+	idle      []func()
+	idlespare []func()
+	woken     int
+	waking    atomic.Int32
+
 	// Inflight work counter: spawned tasks, queued callbacks, pending timers,
-	// and offloads. An atomic instead of sync.WaitGroup because transports
-	// inject work via After from raw goroutines (socket readers) that may
-	// race with Wait — WaitGroup forbids Add concurrent with Wait at counter
-	// zero. The condvar is touched only when the count reaches zero.
+	// offloads and idle hooks. An atomic instead of sync.WaitGroup because
+	// raw goroutines (a signal handler's Server.Close, a test's main
+	// goroutine) inject work via After that may race with Wait — WaitGroup
+	// forbids Add concurrent with Wait at counter zero. The condvar is
+	// touched only when the count reaches zero.
 	inflight atomic.Int64
 	wgmu     sync.Mutex
 	wgcond   *sync.Cond
@@ -91,7 +117,9 @@ type runEntry struct {
 // the engine's 1 ms compaction poll gets a tenth of its rounds and the key
 // log fills. Yielding every 64th release (tens of microseconds of store
 // work) keeps d > 0 timers within about a millisecond of their deadline and
-// lets goroutines queued on the runtime lock take a turn.
+// lets goroutines queued on the runtime lock take a turn. The same release
+// runs pending idle hooks whether or not the environment is quiet, which
+// bounds an AfterIdle deferral to yieldEvery releases.
 const yieldEvery = 64
 
 // maxOffloadWorkers bounds the I/O worker pool. Offloaded jobs are short
@@ -157,9 +185,9 @@ func (e *Env) After(d runtime.Time, fn func()) {
 
 // enqueue appends one callback to the run queue. A caller in task or
 // scheduler context holds mu, so its TryLock fails and the entry waits for
-// that caller's own release. A raw goroutine (socket reader, offload
-// worker) either takes the idle lock and drains on the spot, or fails
-// because some holder exists — and every holder re-checks the queue after
+// that caller's own release. A raw goroutine (a signal handler, a test's
+// main goroutine) either takes the idle lock and drains on the spot, or
+// fails because some holder exists — and every holder re-checks the queue after
 // it unlocks (see release), so the entry is never stranded between the two.
 func (e *Env) enqueue(ent runEntry) {
 	e.track()
@@ -200,16 +228,29 @@ func (e *Env) drain() {
 // holding the lock. The drain is immediate rather than deferred until other
 // woken tasks have run — holding it back does merge more appends per group
 // commit, but makes every park in a latency-bound PUT wait for unrelated
-// tasks to take a step. After Unlock the queue is checked once more: a raw
-// goroutine may have enqueued after the drain saw an empty queue and then
-// failed its TryLock against us; if the lock cannot be retaken, its new
-// holder inherits the duty. See yieldEvery for the periodic Gosched.
+// tasks to take a step. Idle hooks are what waits for the others: they are
+// taken under the lock if the drain left the environment quiet (or this is
+// a yield release) and run once mu is unlocked. After Unlock the queue is
+// checked once more: a raw goroutine may have enqueued after the drain saw
+// an empty queue and then failed its TryLock against us; if the lock cannot
+// be retaken, its new holder inherits the duty. See yieldEvery for the
+// periodic Gosched.
 func (e *Env) release() {
 	e.releases++
 	yield := e.releases%yieldEvery == 0
 	for {
 		e.drain()
+		var hooks []func()
+		if len(e.idle) > 0 && (yield || e.woken == 0 && e.waking.Load() == 0 && e.rqn.Load() == 0) {
+			hooks = e.idle
+			e.rqmu.Lock()
+			e.idle, e.idlespare = e.idlespare, nil
+			e.rqmu.Unlock()
+		}
 		e.mu.Unlock()
+		if hooks != nil {
+			e.runIdle(hooks)
+		}
 		if e.rqn.Load() == 0 || !e.mu.TryLock() {
 			break
 		}
@@ -217,6 +258,42 @@ func (e *Env) release() {
 	if yield {
 		goruntime.Gosched()
 	}
+}
+
+// relock retakes the runtime lock for a task coming back from a wait that
+// did not go through a ticket (Sleep, Blocking), counting it as waking
+// while it contends so that no idle hook runs in front of it.
+func (e *Env) relock() {
+	e.waking.Add(1)
+	e.mu.Lock()
+	e.waking.Add(-1)
+}
+
+// AfterIdle implements runtime.Env: fn runs once, without the runtime lock,
+// at the first release that finds the run queue empty and no task waiting
+// to take the lock — or at the next yield release, whichever comes first,
+// so at most yieldEvery releases after this call. Task or scheduler
+// context only: the caller's own release is what is guaranteed to look at
+// the hook. Registering reuses the drained hook slice, so a caller that
+// passes a method value bound once arms hooks without allocating.
+func (e *Env) AfterIdle(fn func()) {
+	e.track()
+	e.idle = append(e.idle, fn)
+}
+
+// runIdle runs hooks taken by release, outside the lock, then hands the
+// emptied slice back for reuse.
+func (e *Env) runIdle(hooks []func()) {
+	for i, fn := range hooks {
+		hooks[i] = nil
+		fn()
+		e.untrack()
+	}
+	e.rqmu.Lock()
+	if e.idlespare == nil {
+		e.idlespare = hooks[:0]
+	}
+	e.rqmu.Unlock()
 }
 
 // Spawn starts fn as a new task goroutine. The task body runs holding the
@@ -229,18 +306,21 @@ func (e *Env) Spawn(name string, fn func(t runtime.Task)) {
 	}
 	t.tk.t = t
 	e.track()
+	e.waking.Add(1)
 	go func() {
 		defer e.untrack()
 		e.mu.Lock()
+		e.waking.Add(-1)
 		defer e.release()
 		fn(t)
 	}()
 }
 
-// Wait blocks until every spawned task has returned, every queued callback
-// and pending timer has run, and every offloaded job has completed. Call it
-// from the owning goroutine (not from a task) after the last Spawn; it is
-// the wall-clock analogue of Kernel.Run draining the heap.
+// Wait blocks until every spawned task has returned, every queued callback,
+// pending timer and idle hook has run, and every offloaded job has
+// completed. Call it from the owning goroutine (not from a task) after the
+// last Spawn; it is the wall-clock analogue of Kernel.Run draining the
+// heap.
 func (e *Env) Wait() {
 	e.wgmu.Lock()
 	for e.inflight.Load() > 0 {
@@ -308,9 +388,13 @@ func (e *Env) MakeResource(capacity int64) runtime.Resource {
 // MakeHistogram implements runtime.Env.
 func (e *Env) MakeHistogram() *runtime.Histogram { return runtime.NewHistogram() }
 
-// task is one running goroutine. parked/seq are guarded by env.mu; the park
-// channel (capacity 1) carries the wakeup token so a Wake landing between
-// lock release and channel receive is never lost.
+// task is one running goroutine. parked/woken/seq are guarded by env.mu;
+// the park channel (capacity 1) carries the wakeup token so a Wake landing
+// between lock release and channel receive is never lost. woken makes the
+// token one per Park: the first Wake sends it and counts the task in
+// env.woken, and later Wakes before the task has retaken the lock are
+// redundant — it has yet to re-check its condition, and will see whatever
+// they announced.
 //
 // tk is the task's single reusable ticket: Prepare bumps seq and hands out
 // &t.tk instead of allocating, so the hot park/wake path is allocation-free.
@@ -325,6 +409,7 @@ type task struct {
 	park   chan struct{}
 	seq    uint64
 	parked bool
+	woken  bool
 	tk     ticket
 }
 
@@ -341,7 +426,17 @@ func (t *task) Sleep(d runtime.Time) {
 	}
 	t.env.release()
 	time.Sleep(time.Duration(d))
-	t.env.mu.Lock()
+	t.env.relock()
+}
+
+// Blocking runs fn on the task's own goroutine with the runtime lock given
+// up, exactly like Sleep gives it up around time.Sleep: other tasks run
+// while fn blocks in a syscall, and no goroutine hand-off is involved. The
+// release on the way in drains the run queue and may run idle hooks.
+func (t *task) Blocking(fn func()) {
+	t.env.release()
+	fn()
+	t.env.relock()
 }
 
 // Prepare issues a wakeup ticket for the task's next Park. The returned
@@ -354,17 +449,17 @@ func (t *task) Prepare() runtime.Ticket {
 }
 
 // Park blocks until the current ticket is woken, releasing the runtime lock
-// while parked. Wakeups may be spurious (a second Wake on a still-valid
-// ticket leaves a token for the next Park); primitives loop on their
-// condition, as the runtime.Task contract requires. When the drain inside
-// release already produced the wakeup, the receive below does not block and
-// the task continues on this goroutine.
+// while parked. Wakeups may be spurious (a stale ticket of this task wakes
+// it); primitives loop on their condition, as the runtime.Task contract
+// requires. When the drain inside release already produced the wakeup, the
+// receive below does not block and the task continues on this goroutine.
 func (t *task) Park() {
 	t.parked = true
 	t.env.release()
 	<-t.park
 	t.env.mu.Lock()
-	t.parked = false
+	t.env.woken-- // counted by the Wake that sent the token
+	t.parked, t.woken = false, false
 }
 
 // Wait blocks until ev fires and returns its payload.
@@ -389,13 +484,12 @@ type ticket struct {
 // Wake resumes the ticket's task if it is still parked on this ticket.
 func (tk *ticket) Wake() {
 	t := tk.t
-	if !t.parked || t.seq != tk.seq {
+	if !t.parked || t.woken || t.seq != tk.seq {
 		return
 	}
-	select {
-	case t.park <- struct{}{}:
-	default: // token already pending; one is enough
-	}
+	t.woken = true
+	t.env.woken++
+	t.park <- struct{}{} // never blocks: one token per Park, consumed by it
 }
 
 // WakeAfter schedules the wakeup d into the future.

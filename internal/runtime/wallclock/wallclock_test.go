@@ -358,3 +358,202 @@ func TestTimersPromptUnderBusyRunQueue(t *testing.T) {
 		t.Fatalf("1 ms sleeper completed %d rounds in 100 ms beside a busy run queue, want >= 30", rounds)
 	}
 }
+
+// TestAfterIdleRunsOnceOutsideLock: a hook runs exactly once, and it runs
+// with the runtime lock free — it may take the lock itself.
+func TestAfterIdleRunsOnceOutsideLock(t *testing.T) {
+	env := New()
+	var runs atomic.Int32
+	var unlocked atomic.Bool
+	env.Spawn("arm", func(tk runtime.Task) {
+		env.AfterIdle(func() {
+			runs.Add(1)
+			if env.mu.TryLock() {
+				unlocked.Store(true)
+				env.mu.Unlock()
+			}
+		})
+	})
+	env.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("hook ran %d times, want 1", n)
+	}
+	if !unlocked.Load() {
+		t.Fatal("hook ran while the runtime lock was held")
+	}
+}
+
+// TestAfterIdleWaitsForWokenTask: a release that leaves a woken task still
+// to take the lock is not quiet, so the hook waits for that task's turn.
+func TestAfterIdleWaitsForWokenTask(t *testing.T) {
+	env := New()
+	var ran atomic.Bool
+	var ranEarly bool
+	var tk runtime.Ticket
+	env.Spawn("sleeper", func(p runtime.Task) {
+		tk = p.Prepare()
+		p.Park()
+		ranEarly = ran.Load() // the hook must still be pending here
+	})
+	env.Spawn("waker", func(p runtime.Task) {
+		for tk == nil {
+			p.Sleep(runtime.Millisecond)
+		}
+		env.AfterIdle(func() { ran.Store(true) })
+		tk.Wake()
+	})
+	env.Wait()
+	if ranEarly {
+		t.Fatal("hook ran while a woken task was waiting for the lock")
+	}
+	if !ran.Load() {
+		t.Fatal("hook never ran")
+	}
+}
+
+// TestDoubleWakeKeepsQuietReachable: a second Wake that lands after the
+// parked task took its token but before it retook the lock must not count
+// the task as waking twice. If it did, the count would stay above zero
+// once the task stopped parking, and hooks would wait for the yieldEvery
+// bound instead of the next quiet release.
+func TestDoubleWakeKeepsQuietReachable(t *testing.T) {
+	env := New()
+	var tk runtime.Ticket
+	ran, gate := make(chan struct{}), make(chan struct{})
+	env.Spawn("sleeper", func(p runtime.Task) {
+		tk = p.Prepare()
+		p.Park()
+		env.AfterIdle(func() { close(ran) })
+		p.Blocking(func() { <-gate }) // releases the lock; never parks again
+	})
+	env.Spawn("waker", func(p runtime.Task) {
+		for tk == nil {
+			p.Sleep(runtime.Millisecond)
+		}
+		tk.Wake()
+		// Hold the lock while the sleeper takes its token and queues on
+		// the lock, then wake it again.
+		time.Sleep(2 * time.Millisecond)
+		tk.Wake()
+	})
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		// Left pending, the hook would also hold up Env.Wait.
+		t.Fatal("idle hook did not run at the sleeper's quiet release")
+	}
+	close(gate)
+	env.Wait()
+}
+
+// TestAfterIdleBoundedUnderPingPong: two tasks that wake each other forever
+// never leave the environment quiet, and a hook still runs within
+// yieldEvery releases of its registration.
+func TestAfterIdleBoundedUnderPingPong(t *testing.T) {
+	env := New()
+	ping, pong := env.MakeQueue(), env.MakeQueue()
+	env.Spawn("pong", func(tk runtime.Task) {
+		for ping.Get(tk) != nil {
+			pong.Put(1)
+		}
+	})
+	var ran atomic.Bool
+	var armedAt, seenAt uint32
+	env.Spawn("ping", func(tk runtime.Task) {
+		defer ping.Put(nil)
+		for i := 0; i < 10*yieldEvery; i++ {
+			if i == 3 {
+				armedAt = env.releases
+				env.AfterIdle(func() { ran.Store(true) })
+			}
+			ping.Put(1)
+			pong.Get(tk)
+			if i > 3 && ran.Load() {
+				seenAt = env.releases
+				return
+			}
+		}
+	})
+	env.Wait()
+	if !ran.Load() {
+		t.Fatalf("hook did not run in %d ping-pong rounds", 10*yieldEvery)
+	}
+	// The hook runs at a release that is at most yieldEvery after arming;
+	// ping notices it after at most two more.
+	if d := seenAt - armedAt; d > yieldEvery+2 {
+		t.Fatalf("hook ran %d releases after arming, bound is %d", d, yieldEvery)
+	}
+}
+
+// TestWaitCountsIdleHooks: Env.Wait does not return while a hook is
+// pending or running. The hook is armed from a callback a raw goroutine
+// drains, so no task's own inflight count spans it.
+func TestWaitCountsIdleHooks(t *testing.T) {
+	env := New()
+	started, gate := make(chan struct{}), make(chan struct{})
+	var second atomic.Bool
+	go env.After(0, func() {
+		env.AfterIdle(func() {
+			close(started)
+			<-gate
+		})
+		env.AfterIdle(func() { second.Store(true) })
+	})
+	<-started
+	waited := make(chan struct{})
+	go func() {
+		env.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned with idle hooks pending")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	<-waited
+	if !second.Load() {
+		t.Fatal("Wait returned before the second hook ran")
+	}
+}
+
+// TestBlockingReleasesLock: while one task is inside Blocking, another
+// task runs — on one P as on two.
+func TestBlockingReleasesLock(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+			env := New()
+			entered, gate := make(chan struct{}), make(chan struct{})
+			steps := 0
+			env.Spawn("blocked", func(tk runtime.Task) {
+				tk.Blocking(func() {
+					close(entered)
+					<-gate
+				})
+				steps++ // back under the lock
+			})
+			<-entered
+			env.Spawn("other", func(tk runtime.Task) {
+				for i := 0; i < 10; i++ {
+					steps++
+					tk.Sleep(0)
+				}
+				close(gate)
+			})
+			done := make(chan struct{})
+			go func() {
+				env.Wait()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("second task made no progress while the first was in Blocking")
+			}
+			if steps != 11 {
+				t.Fatalf("steps = %d, want 11", steps)
+			}
+		})
+	}
+}

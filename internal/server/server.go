@@ -11,12 +11,16 @@
 // routed through a precomputed partition table, admitted through a
 // per-connection pipeline window plus the engine's per-partition tokens,
 // executed, and answered with a response frame carrying the partition's
-// remaining tokens (§3.5's piggybacked flow control). Requests on one
-// connection pipeline freely: a per-connection worker pool (grown lazily up
-// to the pipeline window) executes them concurrently, so responses return
-// in completion order and the client matches them by ID. The steady-state
-// path recycles everything — frames, request state, response buffers — so
-// serving allocates nothing (see DESIGN.md §13).
+// remaining tokens (§3.5's piggybacked flow control). A connection runs to
+// completion on its own task, which reads the socket, admits each request
+// and executes single-op GETs itself, with no hand-off (§3.4); over TCP its
+// responses leave in one coalesced write when the runtime goes quiet.
+// Requests that may block on the write path — PUT, DEL, chain forwards and
+// batches — go to a per-connection worker pool (grown lazily up to the
+// pipeline window), so requests on one connection still pipeline:
+// responses return in completion order and the client matches them by ID.
+// The steady-state path recycles everything — frames, request state,
+// response buffers — so serving allocates nothing (see DESIGN.md §13).
 //
 // Batch frames (FrameBatchReq) carry a MultiGet/MultiPut: the server splits
 // the items by owning partition, executes the sub-batches in parallel
@@ -54,7 +58,8 @@ type Config struct {
 	// MaxInflightPerConn bounds how many requests from one connection may
 	// be executing at once: the pipeline admission window. A connection
 	// that fills its window is simply not read from until a slot frees —
-	// TCP backpressure does the rest. Default 64.
+	// the TCP transport reads its socket only when asked for the next
+	// frame, so TCP backpressure does the rest. Default 64.
 	MaxInflightPerConn int64
 	// MaxInflightTotal bounds requests executing across ALL connections:
 	// the overload-shedding line. Past it the server answers with an
@@ -152,12 +157,13 @@ type workerStop struct{}
 // requests, which is what makes the steady-state serve path allocation
 // free.
 type reqWork struct {
-	frame   []byte
-	arrived runtime.Time
-	fwd     bool              // frame kind was FrameChainFwd (peer traffic)
-	req     rpcproto.Request  // borrow-decoded; Key/Value alias frame
-	resp    rpcproto.Response // response scratch
-	val     []byte            // GET value scratch, reused across requests
+	frame      []byte
+	arrived    runtime.Time
+	dispatched runtime.Time      // execution start; == arrived for an inline GET
+	fwd        bool              // frame kind was FrameChainFwd (peer traffic)
+	req        rpcproto.Request  // borrow-decoded; Key/Value alias frame
+	resp       rpcproto.Response // response scratch
+	val        []byte            // GET value scratch, reused across requests
 
 	// Batch request state (kind FrameBatchReq).
 	batch    bool
@@ -389,8 +395,11 @@ func (s *Server) startConn(t runtime.Task, c transport.Conn) {
 	s.env.Spawn("server-conn", func(t runtime.Task) { s.serveConn(t, sc) })
 }
 
-// serveConn is one connection's reader loop: decode, admit, enqueue for the
-// connection's workers.
+// serveConn is one connection's task: read, decode, admit, then execute a
+// single-op GET right here or enqueue anything else for the connection's
+// workers. An inline GET occupies the reader while it runs, which is what
+// run to completion means: on the mmap read lane it never parks, and the
+// next frame is usually already in the transport's buffer.
 func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 	for {
 		frame, err := sc.conn.Recv(t)
@@ -477,6 +486,11 @@ func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 		sc.inflight++
 		s.inflightTotal++
 		s.o.inflight.Add(1)
+		if kind == rpcproto.FrameRequest && w.req.Op == rpcproto.OpGet {
+			w.dispatched = arrived
+			s.process(t, sc, w)
+			continue
+		}
 		sc.workQ.Put(w)
 		// Grow the worker pool to match observed concurrency: one worker per
 		// in-flight request, capped by the pipeline window. Workers persist
@@ -503,6 +517,7 @@ func (s *Server) connWorker(t runtime.Task, sc *serverConn) {
 		if !ok {
 			return // workerStop
 		}
+		w.dispatched = t.Now()
 		s.process(t, sc, w)
 	}
 }
@@ -548,14 +563,15 @@ func (s *Server) process(t runtime.Task, sc *serverConn, w *reqWork) {
 	}
 }
 
-// handle executes one request and sends its response. Task context.
+// handle executes one request and sends its response. Task context. The
+// clock is read once more after execution (done) and once after the send
+// (end); end serves the node span and both latency histograms.
 func (s *Server) handle(t runtime.Task, sc *serverConn, w *reqWork) {
 	req := &w.req
-	arrived := w.arrived
+	arrived, dispatched := w.arrived, w.dispatched
 	tr := s.cfg.Tracer.Begin(req.Op.String(), arrived)
 	// The node span: dispatch wait (admission window) vs everything the
 	// server itself does around engine execution.
-	dispatched := t.Now()
 	if s.cfg.testHook != nil {
 		s.cfg.testHook(req)
 	}
@@ -572,9 +588,10 @@ func (s *Server) handle(t runtime.Task, sc *serverConn, w *reqWork) {
 			appendPiggySpans(resp, req, tr, dispatched-arrived, done-dispatched)
 		}
 		sc.conn.Send(t, rpcproto.AppendResponseFrame(rpcproto.GetBuf(), resp))
-		tr.Span("node", dispatched-arrived, t.Now()-done)
+		end := t.Now()
+		tr.Span("node", dispatched-arrived, end-done)
 		s.cfg.Tracer.End(tr)
-		sc.lat.Record(t.Now() - arrived)
+		sc.lat.Record(end - arrived)
 		return
 	}
 	var pid int
@@ -607,11 +624,12 @@ func (s *Server) handle(t runtime.Task, sc *serverConn, w *reqWork) {
 		appendPiggySpans(resp, req, tr, dispatched-arrived, done-dispatched)
 	}
 	sc.conn.Send(t, rpcproto.AppendResponseFrame(rpcproto.GetBuf(), resp))
-	tr.Span("node", dispatched-arrived, t.Now()-done)
+	end := t.Now()
+	tr.Span("node", dispatched-arrived, end-done)
 	s.cfg.Tracer.End(tr)
-	sc.lat.Record(t.Now() - arrived)
+	sc.lat.Record(end - arrived)
 	if pid < len(s.o.partLat) {
-		s.o.partLat[pid].Record(t.Now() - arrived)
+		s.o.partLat[pid].Record(end - arrived)
 	}
 }
 

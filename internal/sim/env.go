@@ -28,6 +28,15 @@ func (k *Kernel) Offload(fn func() any, done func(v any)) {
 	k.After(0, func() { done(fn()) })
 }
 
+// AfterIdle implements runtime.Env. The kernel has no concurrency to
+// coalesce across: the environment is quiet whenever the current event
+// yields, so fn is simply a zero-delay event.
+func (k *Kernel) AfterIdle(fn func()) { k.After(0, fn) }
+
+// Blocking implements runtime.Task by running fn inline: the kernel has no
+// lock to give up, and a proc that blocks in fn holds virtual time still.
+func (p *Proc) Blocking(fn func()) { fn() }
+
 // MakeEvent implements runtime.Env.
 func (k *Kernel) MakeEvent() runtime.Event { return k.NewEvent() }
 

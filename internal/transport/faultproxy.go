@@ -189,9 +189,7 @@ func (p *FaultProxy) KillAll() {
 	}
 	p.mu.Unlock()
 	for _, pp := range pipes {
-		if pp.kill() {
-			p.stats.killed.Add(1)
-		}
+		pp.kill(&p.stats.killed)
 	}
 }
 
@@ -275,7 +273,7 @@ func (p *FaultProxy) bridge(client net.Conn) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		pp.kill()
+		pp.kill(nil)
 		return
 	}
 	p.pipes[pp] = struct{}{}
@@ -301,9 +299,7 @@ func (p *FaultProxy) pump(pp *proxyPipe, src, dst net.Conn) {
 		if n > 0 {
 			f := p.Faults()
 			if p.chance(f.Drop) {
-				if pp.kill() {
-					p.stats.killedByDrop.Add(1)
-				}
+				pp.kill(&p.stats.killedByDrop)
 				return
 			}
 			if f.Delay > 0 {
@@ -317,14 +313,14 @@ func (p *FaultProxy) pump(pp *proxyPipe, src, dst net.Conn) {
 				p.stats.partitionedStalls.Add(1)
 				for p.Faults().Partitioned {
 					if pp.killed() || p.isClosed() {
-						pp.kill()
+						pp.kill(nil)
 						return
 					}
 					time.Sleep(2 * time.Millisecond)
 				}
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
-				pp.kill()
+				pp.kill(nil)
 				return
 			}
 			p.stats.chunks.Add(1)
@@ -358,15 +354,19 @@ func (pp *proxyPipe) killed() bool {
 }
 
 // kill abruptly closes both sides with SO_LINGER=0 so the peers see RST,
-// not FIN — the "connection vanished" failure mode. Reports whether this
-// call was the one that did it.
-func (pp *proxyPipe) kill() bool {
+// not FIN — the "connection vanished" failure mode. The call that does it
+// bumps counter (when non-nil) before either socket closes, so a peer that
+// sees the dead connection also sees it counted in Stats.
+func (pp *proxyPipe) kill(counter *atomic.Int64) {
 	pp.mu.Lock()
 	if pp.dead {
 		pp.mu.Unlock()
-		return false
+		return
 	}
 	pp.dead = true
+	if counter != nil {
+		counter.Add(1)
+	}
 	pp.mu.Unlock()
 	for _, c := range []net.Conn{pp.client, pp.upstream} {
 		if tcp, ok := c.(*net.TCPConn); ok {
@@ -374,7 +374,6 @@ func (pp *proxyPipe) kill() bool {
 		}
 		c.Close()
 	}
-	return true
 }
 
 // shutdown closes both sides normally (FIN) for graceful teardown.

@@ -11,8 +11,11 @@
 //     netsim.Fabric so the chaos fault layer (delay, jitter, partitions)
 //     applies to served traffic.
 //   - tcp: a real net.Listener. Frames are length-prefixed on the stream
-//     (rpcproto's frame layer), requests pipeline freely per connection, and
-//     responses are coalesced into batched writes.
+//     (rpcproto's frame layer) and requests pipeline freely per connection.
+//     A connection runs on the task that owns it: Recv reads the socket on
+//     that task (Task.Blocking), and what every task Sends in a burst leaves
+//     in one write once the runtime goes quiet (Env.AfterIdle). No
+//     goroutine is parked on an idle connection.
 //
 // All Conn and Listener methods that can block take a runtime.Task and
 // follow the execution contract, so server code stays backend-agnostic.
