@@ -276,15 +276,17 @@ func killDrill(image string, capacity int64, partitions int, device string, dura
 	waitBounded(env2, 30*time.Second)
 	rc2.Close()
 
-	// Graceful shutdown: SIGTERM drains and flushes.
-	child2.Process.Signal(syscall.SIGTERM)
-	child2.Wait()
+	// Graceful shutdown: SIGTERM drains and flushes, and must exit 0.
+	drainErr := drainChild(child2, out2, 15*time.Second)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Printf("  violation: %s\n", v)
 		}
 		return fmt.Errorf("kill drill lost data: %d violation(s)", len(violations))
+	}
+	if drainErr != nil {
+		return drainErr
 	}
 	fmt.Printf("chaos kill: PASS — all %d acked writes survived kill -9 and recovery\n", acked)
 	return nil
@@ -357,6 +359,26 @@ func startServeChild(image string, capacity int64, partitions int, device string
 		return nil, nil, fmt.Errorf("start serve child: %w", err)
 	}
 	return cmd, &out, nil
+}
+
+// drainChild SIGTERMs a serve child and demands the graceful-shutdown
+// contract: exit status 0 within bound. A child still running at the bound
+// is SIGKILLed and reaped, and the drill fails either way.
+func drainChild(cmd *exec.Cmd, out *bytes.Buffer, bound time.Duration) error {
+	cmd.Process.Signal(syscall.SIGTERM)
+	waited := make(chan error, 1)
+	go func() { waited <- cmd.Wait() }()
+	select {
+	case err := <-waited:
+		if err != nil {
+			return fmt.Errorf("serve child exited dirty on SIGTERM: %w\nchild output:\n%s", err, out.String())
+		}
+		return nil
+	case <-time.After(bound):
+		syscall.Kill(cmd.Process.Pid, syscall.SIGKILL)
+		<-waited
+		return fmt.Errorf("serve child did not exit within %v of SIGTERM\nchild output:\n%s", bound, out.String())
+	}
 }
 
 // freeAddr reserves an ephemeral localhost port and releases it for the

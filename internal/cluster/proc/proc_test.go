@@ -410,15 +410,15 @@ func TestInProcessMultiProcessEquivalence(t *testing.T) {
 	}
 }
 
-// getAllocBudget mirrors bench.GetAllocBudget (not imported: bench imports
-// this package for the cluster loadgen, and an internal test may not close
-// that cycle). If the pinned budget ever moves, move this with it.
+// getAllocBudget mirrors the single-server GET budget pinned in
+// internal/server's alloc_test.go (a test constant, so it cannot be
+// imported). If the pinned budget ever moves, move this with it.
 const getAllocBudget = 2
 
 // TestHandleGetAllocs pins the node's GET handler — the hot serve path every
 // read replica runs — to the same allocs/op budget the single-server path is
-// gated on (bench.GetAllocBudget). White-box: the handler is driven directly
-// with a synthetic single-node view, no sockets.
+// gated on. White-box: the handler is driven directly with a synthetic
+// single-node view, no sockets.
 func TestHandleGetAllocs(t *testing.T) {
 	env := wallclock.New()
 	n := newNode(NodeConfig{Env: env, ID: 1, NumPart: 4, SSDs: 1, SSDCapacity: 8 << 20})

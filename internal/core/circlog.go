@@ -61,8 +61,8 @@ type stagedAppend struct {
 // join a non-empty pipeline: while any write is in flight, a flush arms
 // only once that many appends (or maxGroupBytes of payload) are staged.
 // Without the gate, trickling appends each depart in their own tiny group
-// (measured on the wall-clock bench: 2-3x the device writes, each paying
-// full service time); with it, light load degenerates to one
+// (measured against a modeled device service time: 2-3x the device writes,
+// each paying full service time); with it, light load degenerates to one
 // maximally-merged group per device round-trip while bursts still fan out
 // across the pipeline. maxGroupBytes caps one group's write: merging
 // amortizes a write's base cost, but an unbounded group occupies a single

@@ -24,16 +24,6 @@ type AsyncOptions struct {
 	// device latency (see openImage). Coalescing then amortizes one durable
 	// write over the whole merged run.
 	Durable bool
-	// ReadTime and WriteTime, when nonzero, add a modeled per-syscall
-	// service floor: the worker sleeps that long after each syscall, off
-	// the runtime lock, so batches overlap the modeled latency exactly as
-	// they overlap real I/O. A coalesced write run charges WriteTime once —
-	// the amortization the batching exists to buy. This is for wall-clock
-	// benchmarking against a page cache that completes I/O in microseconds;
-	// leave both zero under the sim backend (a real sleep there would stall
-	// virtual time in wall time).
-	ReadTime  runtime.Time
-	WriteTime runtime.Time
 }
 
 func (o *AsyncOptions) setDefaults() {
@@ -340,7 +330,6 @@ func (d *AsyncFileDevice) runBatch(b *asyncBatch) {
 			if err != nil {
 				err = fmt.Errorf("flashsim: file write: %w", err)
 			}
-			serviceSleep(d.opt.WriteTime) // one charge for the whole merged run
 			for k := i; k < j; k++ {
 				b.errs[k] = err
 			}
@@ -355,7 +344,6 @@ func (d *AsyncFileDevice) runBatch(b *asyncBatch) {
 					op.Data[z] = 0
 				}
 			}
-			serviceSleep(d.opt.ReadTime)
 			i++
 		case OpFlush:
 			if err := d.f.Sync(); err != nil {

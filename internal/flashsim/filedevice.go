@@ -5,31 +5,15 @@ import (
 	"io"
 	"os"
 	"syscall"
-	"time"
 
 	"leed/internal/obs"
 	"leed/internal/runtime"
 )
 
-// serviceSleep blocks for a modeled service time (no-op when zero). Devices
-// use it to put an NVMe-class latency floor under page-cache syscalls that
-// would otherwise complete in microseconds; where the sleep happens — on an
-// offload worker for AsyncFileDevice, in scheduler context holding the
-// runtime lock for FileDevice — is exactly the architectural difference the
-// wall-clock benchmark measures.
-func serviceSleep(t runtime.Time) {
-	if t > 0 {
-		time.Sleep(time.Duration(t))
-	}
-}
-
 // openImage opens (or creates) a sparse image file. With durable set the
 // file is opened O_DSYNC, so every write syscall returns only after the data
 // reaches the medium — the latency profile of a real flash device with
-// forced unit access, rather than of the page cache. Durable mode is what
-// makes the sync-vs-async device comparison meaningful: page-cache writes
-// complete in microseconds and hide the cost of doing I/O inside the
-// runtime lock.
+// forced unit access, rather than of the page cache.
 func openImage(path string, durable bool) (*os.File, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if durable {
@@ -43,31 +27,20 @@ func openImage(path string, durable bool) (*os.File, error) {
 }
 
 // FileOptions shape a FileDevice. The zero value is the plain persistence
-// substrate: no modeled latency, page-cache durability.
+// substrate: page-cache durability.
 type FileOptions struct {
 	// Durable opens the image O_DSYNC (see openImage).
 	Durable bool
-	// ReadTime and WriteTime, when nonzero, add a modeled per-op service
-	// floor, slept in scheduler context — i.e. holding the runtime lock on
-	// the wallclock backend. That is not a bug: a synchronous in-context
-	// device stalls the world for its service time, which is exactly what
-	// AsyncFileDevice's submission queue exists to avoid. Wall-clock
-	// benchmarking only; leave zero under the sim backend.
-	ReadTime  runtime.Time
-	WriteTime runtime.Time
 }
 
 // FileDevice is a functional device backed by a real file on disk, so a
 // store's contents survive process restarts and the recovery path (§3.2.3)
-// can be exercised across real invocations (see cmd/leedctl). By default it
-// models no latency and is purely a persistence substrate; FileOptions can
-// put an NVMe-class service-time floor under each op for wall-clock
-// benchmarking.
+// can be exercised across real invocations (see cmd/leedctl). It models no
+// latency and is purely a persistence substrate.
 type FileDevice struct {
 	env      runtime.Env
 	f        *os.File
 	capacity int64
-	opt      FileOptions
 	stats    devStats
 	queued   int // ops submitted but not yet completed
 
@@ -94,7 +67,7 @@ func OpenFileDeviceOpts(env runtime.Env, path string, capacity int64, opt FileOp
 	if err != nil {
 		return nil, err
 	}
-	return &FileDevice{env: env, f: f, capacity: capacity, opt: opt, stats: newStats()}, nil
+	return &FileDevice{env: env, f: f, capacity: capacity, stats: newStats()}, nil
 }
 
 // Capacity returns the advertised device size.
@@ -152,13 +125,11 @@ func (d *FileDevice) Submit(op *Op) {
 			for i := n; i < len(op.Data); i++ {
 				op.Data[i] = 0
 			}
-			serviceSleep(d.opt.ReadTime)
 		case OpWrite:
 			if _, err := d.f.WriteAt(op.Data, op.Offset); err != nil {
 				op.Done.Fire(fmt.Errorf("flashsim: file write: %w", err))
 				return
 			}
-			serviceSleep(d.opt.WriteTime)
 		case OpFlush:
 			if err := d.f.Sync(); err != nil {
 				op.Done.Fire(fmt.Errorf("flashsim: file sync: %w", err))

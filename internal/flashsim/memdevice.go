@@ -54,8 +54,8 @@ func (d *MemDevice) Submit(op *Op) {
 
 // SetSyncReads toggles the SyncReader fast path. Off by default: the sim
 // backend's golden tests depend on every completion being an event at a
-// deterministic instant, so inline reads are strictly opt-in — the
-// wallclock hot-path benchmark and server enable them, sims never do.
+// deterministic instant, so inline reads are strictly opt-in — wallclock
+// serve stacks enable them, sims never do.
 func (d *MemDevice) SetSyncReads(on bool) { d.syncReads = on }
 
 // TryReadAt implements SyncReader: when enabled, the read completes inline

@@ -42,9 +42,7 @@ func munmapImage(m []byte) {
 // SetSyncReads toggles the SyncReader fast path: reads with no ordering
 // hazard complete inline in the caller's context by copying from a read-only
 // mmap of the image — no event machinery, no syscall. Off by default; the
-// serve path opts in. The first enable maps the image. Reads decline the
-// fast path (falling back to Submit) whenever a modeled ReadTime is set, so
-// the sync-vs-async latency benchmarks are unaffected.
+// serve path opts in. The first enable maps the image.
 func (d *AsyncFileDevice) SetSyncReads(on bool) error {
 	if on && d.mmap == nil {
 		m, err := mmapImage(d.f, d.capacity)
@@ -65,7 +63,7 @@ func (d *AsyncFileDevice) SetSyncReads(on bool) error {
 // the ack means the write completed — so in steady state the fast path
 // always hits.
 func (d *AsyncFileDevice) TryReadAt(dst []byte, off int64) bool {
-	if !d.syncReads || d.opt.ReadTime != 0 {
+	if !d.syncReads {
 		return false
 	}
 	end := off + int64(len(dst))
@@ -103,7 +101,7 @@ func (d *FileDevice) SetSyncReads(on bool) error {
 // write or flush is outstanding — it tracks no ranges, so the guard is
 // conservative: any pending write declines the fast path.
 func (d *FileDevice) TryReadAt(dst []byte, off int64) bool {
-	if !d.syncReads || d.opt.ReadTime != 0 || d.queuedWrites > 0 {
+	if !d.syncReads || d.queuedWrites > 0 {
 		return false
 	}
 	end := off + int64(len(dst))

@@ -7,8 +7,8 @@ import (
 // The steady-state allocation contract: with reused destination buffers and
 // borrow decodes, a full encode/decode round trip of every hot-path frame
 // kind allocates nothing. These pin the contract at the unit level; the
-// end-to-end budget over the full serve stack is pinned by BenchmarkServeGet
-// and the `leedctl hotpath` CI gate (DESIGN.md §13).
+// end-to-end budget over the full serve stack is pinned by
+// TestServeGetAllocBudget in internal/server (DESIGN.md §13).
 
 func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()

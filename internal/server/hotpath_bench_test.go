@@ -1,19 +1,24 @@
 package server_test
 
-import (
-	"testing"
+import "testing"
 
-	"leed/internal/bench"
-	"leed/internal/rpcproto"
-)
+// The serve-path benchmarks: the full stack (client, inproc transport,
+// rpcproto, server, engine, store, in-memory device with sync reads)
+// measured end to end on the same rig as the allocs/op gates in
+// alloc_test.go; see DESIGN.md §13 for the budgets and the pooling contract
+// behind them.
 
-// The serve-path allocation benchmarks: the full stack (client, inproc
-// transport, rpcproto, server, engine, store, in-memory device with sync
-// reads) measured end to end. CI runs these with -benchmem and separately
-// enforces the GET allocs/op budget via `leedctl hotpath`, which shares
-// bench.BenchServe; see DESIGN.md §13 for the budget and the pooling
-// contract behind it.
+func BenchmarkServeGet(b *testing.B) { benchServe(b, servedGet()) }
 
-func BenchmarkServeGet(b *testing.B) { bench.BenchServe(b, rpcproto.OpGet) }
+func BenchmarkServePut(b *testing.B) { benchServe(b, servedPut()) }
 
-func BenchmarkServePut(b *testing.B) { bench.BenchServe(b, rpcproto.OpPut) }
+func benchServe(b *testing.B, op servedOp) {
+	serveRig(b, op, func(call func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			call()
+		}
+		b.StopTimer()
+	})
+}
