@@ -1,6 +1,6 @@
 // Command leedctl operates a single LEED data store persisted in an image
 // file, demonstrating the on-flash format and crash recovery (§3.2-§3.3)
-// across real process invocations.
+// across real process invocations, and runs the fault drills.
 //
 //	leedctl -image /tmp/store.img put user:1 hello
 //	leedctl -image /tmp/store.img get user:1
@@ -9,37 +9,32 @@
 //	leedctl -image /tmp/store.img stats
 //	leedctl -image /tmp/store.img compact
 //	leedctl -image /tmp/store.img load 10000        # bulk-load objects
-//	leedctl -image /tmp/store.img bench 20000       # YCSB-B benchmark (sim kernel)
 //	leedctl -image /tmp/store.img serve 20000       # wall-clock concurrent serving
 //	leedctl -image /tmp/store.img -listen :7070 serve   # TCP server (drain on SIGINT)
-//	leedctl -image /tmp/store.img soak 5            # wall-clock fault/crash soak
-//	leedctl -image /tmp/store.img chaos             # served-path chaos drills + kill -9 drill
-//	leedctl -cluster soak 2                         # wall-clock cluster fault drills
+//	leedctl -image /tmp/store.img -scenario all chaos   # every fault drill
+//	leedctl -scenario partition-heal,crash-restart chaos 2
 //	leedctl manager ... / leedctl node ...          # multi-process cluster roles
 //
-// Every invocation opens the image, replays recovery (superblock + key-log
-// scan), performs the command, and flushes the superblock.
+// Every store invocation opens the image, replays recovery (superblock +
+// key-log scan), performs the command, and flushes the superblock.
 //
-// All commands except serve and soak run on the deterministic sim kernel
+// All store commands except serve run on the deterministic sim kernel
 // (virtual time). serve runs the same store on the wall-clock runtime
 // backend: real goroutine clients issue concurrent PUT/GET/DEL against the
-// image and the reported latencies are real elapsed time. soak REFORMATS
-// the image and drives N crash-recovery cycles with injected device faults
-// against it, checking that no acknowledged write is ever lost (§3.2.3);
-// it exits non-zero on any durability violation.
-//
-// With -cluster, soak targets a full multi-JBOF deployment on the
-// wall-clock backend instead of a single image store (no -image needed; the
-// JBOFs run on in-memory simulated SSDs): it executes the chaos drill
-// scenarios — seeded message loss, partition-and-heal, crash-restart with
-// re-sync, device faults, and the mixed schedule — on real goroutines,
-// exiting non-zero if any acked write is lost or a chain fails to converge
-// (§3.8.1).
+// image and the reported latencies are real elapsed time.
 //
 // serve -listen mounts the image behind a real TCP server (internal/server
 // over the transport seam): the engine's partitions are ring-routed, requests
 // pipeline per connection, and SIGINT/SIGTERM triggers a graceful drain that
-// completes in-flight requests and flushes the store.
+// completes in-flight requests, flushes the store and prints "drained".
+//
+// chaos runs the fault drills of internal/chaos named by -scenario (a
+// comma-separated list, or all) on the wall-clock backend, and exits
+// non-zero if any invariant breaks (§3.8): the netsim cluster scenarios on
+// real goroutines, the fault-proxy scenarios against a live TCP server,
+// kill (SIGKILL a `serve -listen` child on -image, restart it, verify),
+// the proc-* scenarios against manager and node children of this binary,
+// and soak, the store-level power-cut soak, which REFORMATS -image.
 //
 // The repo's performance numbers — throughput, latency and
 // requests-per-Joule of the embedded, served and replicated paths — come
@@ -54,7 +49,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"leed/internal/chaos"
 	"leed/internal/cluster/proc"
 	"leed/internal/core"
 	"leed/internal/engine"
@@ -77,36 +71,24 @@ func main() {
 	}
 	image := flag.String("image", "", "store image file (required)")
 	capacity := flag.Int64("capacity", 64<<20, "image capacity in bytes (fixed at init)")
-	modelLatency := flag.Bool("latency", false, "model DCT983 NVMe latencies on top of the image (for bench)")
 	clients := flag.Int("clients", 8, "concurrent client goroutines for serve")
-	seed := flag.Int64("seed", 1, "rng seed for soak and chaos fault schedules")
-	device := flag.String("device", "async", "device path for serve/soak: sync (FileDevice) or async (submission-queue AsyncFileDevice)")
-	durable := flag.Bool("durable", false, "serve/soak: open the image O_DSYNC so every write completes at real device latency")
-	clusterMode := flag.Bool("cluster", false, "soak: drive a multi-JBOF cluster on the wall-clock backend instead of an image store")
-	scenario := flag.String("scenario", "all", "cluster soak: drill scenario (message-loss, partition-heal, crash-restart, device-faults, mixed, all); chaos: see usage")
-	metricsAddr := flag.String("metrics-addr", "", "serve/soak/chaos: HTTP address exposing /metrics (Prometheus text), /metrics.json, and /traces while the command runs (e.g. :9100)")
+	seed := flag.Int64("seed", 1, "chaos: rng seed for the fault schedules")
+	device := flag.String("device", "async", "device path for serve and the kill/soak drills: sync (FileDevice) or async (submission-queue AsyncFileDevice)")
+	durable := flag.Bool("durable", false, "serve and the kill/soak drills: open the image O_DSYNC so every write completes at real device latency")
+	scenario := flag.String("scenario", "all", "chaos: comma-separated drill scenarios, or all (see usage)")
+	metricsAddr := flag.String("metrics-addr", "", "serve/chaos: HTTP address exposing /metrics (Prometheus text), /metrics.json, and /traces while the command runs (e.g. :9100)")
 	listen := flag.String("listen", "", "serve: TCP address to serve rpcproto clients on (e.g. :7070); the process runs until SIGINT/SIGTERM, then drains")
 	partitions := flag.Int("partitions", 4, "serve -listen: engine partitions carved out of the image")
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() == 0 || (*image == "" && !*clusterMode && flag.Arg(0) != "chaos") {
+	if flag.NArg() == 0 || (*image == "" && flag.Arg(0) != "chaos") {
 		usage()
 		os.Exit(2)
 	}
 
 	if flag.Arg(0) == "chaos" {
 		if err := chaosCmd(*image, *capacity, *partitions, *device, *durable,
-			*seed, *scenario, *metricsAddr); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *clusterMode {
-		if flag.Arg(0) != "soak" {
-			fatal(fmt.Errorf("-cluster supports only soak, not %q", flag.Arg(0)))
-		}
-		if err := clusterSoak(*seed, *scenario, *metricsAddr, flag.Args()); err != nil {
+			*seed, *scenario, *metricsAddr, flag.Args()); err != nil {
 			fatal(err)
 		}
 		return
@@ -124,12 +106,6 @@ func main() {
 		}
 		return
 	}
-	if flag.Arg(0) == "soak" {
-		if err := soak(*image, *capacity, *seed, *device, *durable, *metricsAddr, flag.Args()); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	k := sim.New()
 	defer k.Close()
 	fileDev, err := flashsim.OpenFileDevice(k, *image, *capacity)
@@ -137,19 +113,13 @@ func main() {
 		fatal(err)
 	}
 	defer fileDev.Close()
-	var dev flashsim.Device = fileDev
-	if *modelLatency {
-		dev = flashsim.NewLatencyShim(k, fileDev, flashsim.SamsungDCT983(*capacity))
-	}
-	reg := obs.NewRegistry()
-	flashsim.Observe(dev, reg, nil, "image")
 
 	// Geometry is a pure function of capacity, so every invocation
 	// reconstructs the same layout.
 	geo := core.PlanPartition(*capacity, 32, 1024, core.PlanOpts{})
 	store := core.NewStore(core.StoreConfigFor(geo, core.Config{
 		Env:    k,
-		Device: dev,
+		Device: fileDev,
 	}))
 
 	args := flag.Args()
@@ -231,44 +201,6 @@ func main() {
 				}
 			}
 			fmt.Printf("loaded %d objects (%d total live)\n", n, store.Objects())
-		case "bench":
-			n := int64(20000)
-			if len(args) > 1 {
-				fmt.Sscanf(args[1], "%d", &n)
-			}
-			records := store.Objects()
-			if records == 0 {
-				cmdErr = fmt.Errorf("bench needs a loaded image (run load first)")
-				return
-			}
-			gen := ycsb.NewGenerator(ycsb.WorkloadB, records, 256, 42)
-			lat := sim.NewHistogram()
-			start := p.Now()
-			for i := int64(0); i < n; i++ {
-				op := gen.Next()
-				t0 := p.Now()
-				var err error
-				switch op.Type {
-				case ycsb.OpRead:
-					_, _, err = store.Get(p, op.Key)
-				default:
-					_, err = store.Put(p, op.Key, op.Value)
-				}
-				if err != nil && err != core.ErrNotFound {
-					cmdErr = err
-					return
-				}
-				lat.Record(p.Now() - t0)
-				if store.NeedsValueCompaction() {
-					store.CompactValueLog(p)
-				}
-				if store.NeedsKeyCompaction() {
-					store.CompactKeyLog(p)
-				}
-			}
-			elapsed := p.Now() - start
-			fmt.Printf("YCSB-B: %d ops, simulated %v, latency %v\n", n, elapsed, lat)
-			printSnapshot(reg)
 		default:
 			cmdErr = fmt.Errorf("unknown command %q", args[0])
 			return
@@ -288,20 +220,31 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   single-store commands (sim kernel, require -image):
-    leedctl -image FILE [-capacity N] [-latency] {put K V | get K | del K | keys | stats | compact}
+    leedctl -image FILE [-capacity N] {put K V | get K | del K | keys | stats | compact}
     leedctl -image FILE load [N]                       bulk-load N objects (default 10000)
-    leedctl -image FILE bench [N]                      YCSB-B sim benchmark (load first)
 
   wall-clock commands (require -image; flags go before the subcommand):
     leedctl -image FILE [-clients N] [-device sync|async] [-durable] serve [N]
                                                        in-process concurrent serving
     leedctl -image FILE -listen ADDR [-partitions N] [-device sync|async] [-durable] serve
                                                        TCP server; SIGINT/SIGTERM drains
-    leedctl -image FILE [-seed N] [-device sync|async] [-durable] soak [CYCLES]
-                                                       crash-recovery durability soak
 
-  cluster commands (no -image):
-    leedctl -cluster soak [-seed N] [-scenario S] [ROUNDS]
+  fault drills (flags go before the subcommand; exit != 0 on any violation):
+    leedctl [-image FILE] [-seed N] [-scenario LIST] chaos [ROUNDS]
+        LIST is comma-separated, or all (the default). ROUNDS sets the sweeps
+        per fault window (soak: power-cut cycles). Scenarios:
+          message-loss, partition-heal, crash-restart, device-faults, mixed
+                         netsim cluster on real goroutines
+          proxy-drop, proxy-partition
+                         TCP server behind a fault proxy
+          kill           SIGKILL a serve child on -image mid-load, restart it,
+                         verify zero acked-write loss (-capacity, -partitions,
+                         -device, -durable shape the child)
+          proc-kill-tail, proc-kill-head, proc-partition
+                         manager + node children; SIGKILL or partition a live
+                         chain member
+          soak           store-level power-cut soak; REFORMATS -image
+                         (-device, -durable)
 
   multi-process cluster (subcommand first; each role owns its flags):
     leedctl manager [-listen ADDR] [-r N] [-numpart N] [-hb-timeout D]
@@ -315,18 +258,6 @@ func usage() {
             [-numpart N] [-ssds N] [-capacity N] [-hb-interval D] [-metrics-addr ADDR]
                                                        one JBOF: engine + RPC + heartbeats;
                                                        joins the cluster on its first beat
-
-  served-path chaos drills (flags go before the subcommand):
-    leedctl -scenario proxy-drop|proxy-partition [-seed N] chaos
-                                                       fault-proxy drills over real TCP
-    leedctl -image FILE -scenario kill [-seed N] chaos  kill -9 a serve child mid-load,
-                                                       restart, verify zero acked-write loss
-    leedctl -image FILE [-seed N] chaos                 all of the above (-scenario all)
-    leedctl -scenario proc-kill-tail|proc-kill-head|proc-partition [-seed N] chaos
-                                                       multi-process cluster drills: SIGKILL
-                                                       or partition a live chain member,
-                                                       verify zero acked-write loss through
-                                                       the manager's reconfiguration
 
   -metrics-addr ADDR serves /metrics, /metrics.json, /traces, and /debug/pprof
   during any wall-clock command.
@@ -442,7 +373,7 @@ func serve(image string, capacity int64, clients int, device string, durable boo
 
 	// Latency histogram and error slot are shared without locks: the Env
 	// execution contract (one running task at a time) protects them.
-	lat := sim.NewHistogram()
+	lat := obs.NewHistogram()
 	opLat := reg.Hist("leed_serve_latency_ns")
 	ops := reg.Counter("leed_serve_ops_total")
 	var opErr error
@@ -592,108 +523,7 @@ func serveListen(image string, capacity int64, listen string, partitions int, de
 		return flushErr
 	}
 	printSnapshot(reg)
-	return nil
-}
-
-// soak reformats the image and runs the chaos durability soak on the
-// wall-clock backend: N crash-recovery cycles of seeded writes with a
-// device-fault window in each, verifying after every recovery that all
-// acknowledged writes survive. A stale image cannot be reused — its old
-// high-sequence buckets would confuse the recovery scan — so the file is
-// recreated from scratch.
-func soak(image string, capacity int64, seed int64, device string, durable bool, metricsAddr string, args []string) error {
-	cycles := 0 // 0 = chaos default
-	if len(args) > 1 {
-		fmt.Sscanf(args[1], "%d", &cycles)
-	}
-	if err := os.Remove(image); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("reformat %s: %w", image, err)
-	}
-
-	env := wallclock.New()
-	dev, closeDev, err := openWallclockDevice(env, device, image, capacity, durable)
-	if err != nil {
-		return err
-	}
-	defer closeDev()
-	reg := obs.NewRegistry()
-	srv, err := startMetrics(metricsAddr, reg, nil)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	var rep *chaos.SoakReport
-	env.Spawn("soak", func(p runtime.Task) {
-		rep = chaos.RunSoak(p, chaos.SoakConfig{
-			Env:    env,
-			Seed:   seed,
-			Cycles: cycles,
-			Device: dev,
-			Obs:    reg,
-		})
-	})
-	env.Wait()
-	fmt.Print(rep)
-	printSnapshot(reg)
-	if !rep.Pass {
-		return fmt.Errorf("soak failed with %d violation(s)", len(rep.Violations))
-	}
-	return nil
-}
-
-// clusterSoak runs the chaos drill scenarios against a multi-JBOF cluster
-// on the wall-clock backend: the same seeded fault schedules the sim drills
-// replay deterministically, executed on real goroutines with real sleeps.
-// ROUNDS scales each scenario's fault/recovery cycles (0 = drill default).
-func clusterSoak(seed int64, scenario, metricsAddr string, args []string) error {
-	rounds := 0
-	if len(args) > 1 {
-		fmt.Sscanf(args[1], "%d", &rounds)
-	}
-	scs := chaos.Scenarios()
-	if scenario != "all" {
-		found := false
-		for _, sc := range scs {
-			if string(sc) == scenario {
-				scs = []chaos.Scenario{sc}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown -scenario %q (want one of %v or all)", scenario, chaos.Scenarios())
-		}
-	}
-	// One registry across all scenarios: the endpoint (and the final
-	// snapshot) accumulates the whole soak.
-	reg := obs.NewRegistry()
-	srv, err := startMetrics(metricsAddr, reg, nil)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	failed := 0
-	for _, sc := range scs {
-		rep, err := chaos.RunDrill(chaos.Config{
-			Seed:     seed,
-			Scenario: sc,
-			Backend:  chaos.BackendWallclock,
-			Rounds:   rounds,
-			Obs:      reg,
-		})
-		if err != nil {
-			return fmt.Errorf("drill %s: %w", sc, err)
-		}
-		fmt.Print(rep)
-		if !rep.Pass {
-			failed++
-		}
-	}
-	printSnapshot(reg)
-	if failed > 0 {
-		return fmt.Errorf("%d of %d cluster drill(s) failed", failed, len(scs))
-	}
+	fmt.Println("drained")
 	return nil
 }
 

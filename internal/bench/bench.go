@@ -116,7 +116,7 @@ type RunResult struct {
 	Dropped int64 // open-loop arrivals shed at the outstanding cap
 	Elapsed sim.Time
 	Thr     float64 // ops/sec
-	Lat     *sim.Histogram
+	Lat     *obs.Histogram
 	Joules  float64
 	QPerJ   float64 // ops per Joule (the paper's energy-efficiency metric)
 
@@ -143,7 +143,7 @@ func Run(k sim.Runner, do DoOp, w ycsb.Workload, records int64, valLen int, mete
 		rc.Clients = 32
 	}
 	gen := ycsb.NewGenerator(w, records, valLen, rc.Seed+1)
-	res := RunResult{Lat: sim.NewHistogram()}
+	res := RunResult{Lat: obs.NewHistogram()}
 
 	var (
 		issued    int64

@@ -6,601 +6,409 @@ import (
 	"fmt"
 	"net"
 	"os/exec"
+	"sync"
 	"syscall"
 	"time"
 
 	"leed/internal/cluster"
 	"leed/internal/cluster/proc"
-	"leed/internal/core"
 	"leed/internal/runtime"
 	"leed/internal/runtime/wallclock"
+	"leed/internal/server"
 	"leed/internal/transport"
 )
 
-// Proc drills are the multi-process complement of the served drills: instead
-// of one server behind a fault proxy they stand up a real cluster — a
-// manager process and several node processes on loopback — and attack a
-// process, not a connection. The contract under test is CRRS's (§3.7): a
-// write is acked only after the whole chain has absorbed it, so SIGKILLing
-// any single chain member must lose nothing the client was told succeeded,
-// and the manager must detect the death, cut a new view, and keep the
-// cluster serving.
+// The proc and kill shapes attack a process, not a connection. Neither
+// forks by itself: Config.Spawn maps a Spec to an unstarted *exec.Cmd (tests
+// re-exec the test binary, leedctl re-execs itself).
 //
-// The drill does not fork processes itself; the caller supplies Spawn, which
-// maps a ProcSpec to a running *exec.Cmd. Tests re-exec the test binary
-// through an env-var dispatcher; leedctl re-execs itself with the manager /
-// node subcommands. Everything else — readiness, load, the kill, the
-// convergence wait, verification, graceful shutdown — is the drill's.
-
-// ProcScenario names one multi-process fault schedule.
-type ProcScenario string
+// proc stands up a manager and three node processes on loopback. CRRS acks
+// a write only after the whole chain absorbed it (§3.7), so SIGKILLing one
+// chain member must lose nothing acked, and the manager must detect the
+// death, cut a new view and keep the cluster serving.
+//
+// kill runs one `serve -listen` child on the spawner's image, SIGKILLs it
+// mid-load — acked writes live in the page cache (pwrite returned), which
+// survives process death — restarts it on the same image and demands that
+// recovery (superblock plus key-log scan) replays every acknowledged write.
 
 const (
-	// ProcKillTail SIGKILLs partition 0's chain tail mid-load. The tail is
-	// the read replica, so reads must fail over once the manager cuts the
-	// new view; acked writes live on the surviving upstream replicas.
-	ProcKillTail ProcScenario = "proc-kill-tail"
-	// ProcKillHead SIGKILLs partition 0's chain head mid-load. Writes lose
-	// their entry point until the view moves the head; the synchronous
-	// downstream ack means everything acked already reached the survivors.
-	ProcKillHead ProcScenario = "proc-kill-head"
-	// ProcPartition blackholes one node's heartbeat link through a
-	// transport.FaultProxy: the node stays alive but falls silent, the
-	// manager must declare it dead and cut it from the view, and after the
-	// heal the node must re-join, re-sync via COPY, and return to RUNNING.
-	ProcPartition ProcScenario = "proc-partition"
+	procNodes = 3
+	procKeys  = 32
+	// procHBTimeout is the manager's silent-node failure timeout; nodes beat
+	// every 50ms (the node default).
+	procHBTimeout = 600 * time.Millisecond
+	procHBEvery   = 50 * runtime.Millisecond
+	// killAfter is how far into the loaded window the fault lands.
+	killAfter = 400 * runtime.Millisecond
+	killKeys  = 48
 )
 
-// ProcScenarios lists the multi-process scenarios in a fixed order.
-func ProcScenarios() []ProcScenario {
-	return []ProcScenario{ProcKillTail, ProcKillHead, ProcPartition}
+// procs holds the child processes of the kill and proc shapes.
+type procs struct {
+	mu sync.Mutex // children is added to by the drill task, reaped by Run
+	// children maps every spawned process to its captured stdout+stderr.
+	children map[*exec.Cmd]*bytes.Buffer
+
+	// kill: the serve child and its address.
+	serve     *exec.Cmd
+	serveAddr string
+
+	// proc: the cluster client and processes.
+	cl    *proc.Client
+	mgr   *exec.Cmd
+	nodes map[cluster.NodeID]*exec.Cmd
+	dead  cluster.NodeID // the SIGKILLed node, not drained at shutdown
 }
 
-// ProcSpec describes one cluster process for Spawn to start. Role is
-// "manager" or "node"; node specs carry the ID and the manager address to
-// heartbeat (which the partition scenario routes through a fault proxy).
-type ProcSpec struct {
-	Role       string // "manager" | "node"
-	ID         cluster.NodeID
-	Listen     string
-	Manager    string
-	NumPart    int
-	R          int
-	HBInterval time.Duration
-	HBTimeout  time.Duration
-}
+// procClient adapts proc.Client: writes retry only after a rejection that
+// proves they never executed.
+type procClient struct{ cl *proc.Client }
 
-// Args renders the spec as the `leedctl manager` / `leedctl node` argument
-// vector — the shared vocabulary between the drill and every spawner that
-// re-execs a binary embedding proc.Main. Zero-valued fields are omitted so
-// the subcommand's own defaults apply.
-func (s ProcSpec) Args() []string {
-	var args []string
-	switch s.Role {
-	case "manager":
-		args = []string{"manager", "-listen", s.Listen}
-		if s.R != 0 {
-			args = append(args, "-r", fmt.Sprint(s.R))
+func (c procClient) Put(t runtime.Task, key, val []byte) (bool, error) {
+	return false, c.cl.Put(t, key, val)
+}
+func (c procClient) Get(t runtime.Task, key []byte) ([]byte, error) { return c.cl.Get(t, key) }
+func (procClient) NotExecuted(err error) bool                       { return proc.WriteNotExecuted(err) }
+func (procClient) Reapplies() bool                                  { return false }
+
+func runProc(d *drill) (*Report, error) {
+	if d.cfg.Spawn == nil {
+		return nil, errors.New("chaos: proc scenarios need Config.Spawn")
+	}
+	mgrAddr, err := freeAddr()
+	if err != nil {
+		return nil, err
+	}
+	// The proxy sits on the last node's heartbeat link: the partition
+	// scenario silences that node there.
+	proxy, err := transport.NewFaultProxy("127.0.0.1:0", mgrAddr, d.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	defer proxy.Close()
+	pr := &procs{children: make(map[*exec.Cmd]*bytes.Buffer), nodes: make(map[cluster.NodeID]*exec.Cmd)}
+	d.env, d.proc, d.proxy = wallclock.New(), pr, proxy
+	d.keys = make([]keyState, procKeys)
+	d.writers = 2
+	return d.run(func(t runtime.Task) error {
+		if err := d.startProcCluster(t, mgrAddr); err != nil {
+			return err
 		}
-		if s.HBTimeout != 0 {
-			args = append(args, "-hb-timeout", s.HBTimeout.String())
+		defer pr.cl.Close()
+		if !pr.awaitView(d, t, 30*runtime.Second, pr.allRunning) {
+			return errors.New("chaos: cluster never assembled (not all nodes RUNNING)")
 		}
-	case "node":
-		args = []string{"node",
-			"-id", fmt.Sprint(uint64(s.ID)),
-			"-listen", s.Listen,
-			"-manager", s.Manager,
+		// Let every node pull the view: a write meeting a node still on an
+		// older one fails as ambiguous, and the clean load should not.
+		t.Sleep(3 * procHBEvery)
+		d.sweeps(t, 1, false) // version 1 of every key, fault-free
+		d.rep.EpochBefore = pr.cl.View().Epoch
+		d.row.steps(d, t)
+		if v := pr.cl.View(); v != nil {
+			d.rep.FinalEpoch = v.Epoch
 		}
-		if s.HBInterval != 0 {
-			args = append(args, "-hb-interval", s.HBInterval.String())
+		d.finalCheck(t, nil)
+		// Close the client first: its open connections would hold the
+		// nodes' drains up.
+		pr.cl.Close()
+		survivors := []child{{"manager", pr.mgr}}
+		for id := cluster.NodeID(1); id <= procNodes; id++ {
+			if id != pr.dead {
+				survivors = append(survivors, child{fmt.Sprintf("node %d", id), pr.nodes[id]})
+			}
 		}
-	default:
+		d.drainChildren(t, survivors...)
+		d.finish()
 		return nil
-	}
-	if s.NumPart != 0 {
-		args = append(args, "-numpart", fmt.Sprint(s.NumPart))
-	}
-	return args
-}
-
-// ProcConfig shapes one multi-process drill.
-type ProcConfig struct {
-	Seed     int64
-	Scenario ProcScenario
-
-	// Spawn starts one cluster process from its spec. Required. If the
-	// returned command's Stdout is a *bytes.Buffer the drill additionally
-	// asserts the "drained" line on graceful shutdown.
-	Spawn func(ProcSpec) (*exec.Cmd, error)
-
-	// Keys is the tracked working set. Default 32.
-	Keys int
-	// Nodes is the cluster size. Default 3 (the minimum that leaves a full
-	// R=3 chain one death away from quorum data).
-	Nodes int
-	// NumPart and R shape the ring. Defaults 8 and 3.
-	NumPart int
-	R       int
-
-	// HBInterval is the node heartbeat cadence, HBTimeout the manager's
-	// silent-node failure timeout. Defaults 50ms / 600ms.
-	HBInterval time.Duration
-	HBTimeout  time.Duration
-
-	// KillAfter is how far into the loaded window the fault lands.
-	// Default 400ms.
-	KillAfter time.Duration
-
-	// Budget bounds the whole drill in real time. Default 120s.
-	Budget time.Duration
-}
-
-func (cfg *ProcConfig) setProcDefaults() {
-	if cfg.Scenario == "" {
-		cfg.Scenario = ProcKillTail
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 32
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 3
-	}
-	if cfg.NumPart == 0 {
-		cfg.NumPart = 8
-	}
-	if cfg.R == 0 {
-		cfg.R = 3
-	}
-	if cfg.HBInterval == 0 {
-		cfg.HBInterval = 50 * time.Millisecond
-	}
-	if cfg.HBTimeout == 0 {
-		cfg.HBTimeout = 600 * time.Millisecond
-	}
-	if cfg.KillAfter == 0 {
-		cfg.KillAfter = 400 * time.Millisecond
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 120 * time.Second
-	}
-}
-
-// ProcReport is a multi-process drill's outcome.
-type ProcReport struct {
-	Scenario ProcScenario
-	Seed     int64
-
-	// Victim is the node the fault hit (killed or partitioned).
-	Victim cluster.NodeID
-	// EpochBefore/EpochAfter bracket the reconfiguration: After must exceed
-	// Before or the manager never reacted.
-	EpochBefore, EpochAfter uint64
-
-	WritesAcked  int64
-	WritesFailed int64
-	// AckedAfterFault counts writes acknowledged after the fault landed —
-	// the liveness half of the verdict (the cluster kept serving).
-	AckedAfterFault int64
-	Reads           int64
-	ReadErrors      int64
-	Poisoned        int // keys whose final version is ambiguous
-
-	Violations []string
-	Pass       bool
-}
-
-func (r *ProcReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// String renders a compact single-drill summary.
-func (r *ProcReport) String() string {
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf(
-		"proc %s seed=%d: %s victim=%d epoch %d→%d acked=%d failed=%d ackedAfterFault=%d "+
-			"poisoned=%d reads=%d readErrs=%d violations=%d",
-		r.Scenario, r.Seed, verdict, r.Victim, r.EpochBefore, r.EpochAfter,
-		r.WritesAcked, r.WritesFailed, r.AckedAfterFault, r.Poisoned,
-		r.Reads, r.ReadErrors, len(r.Violations))
-}
-
-// procDrill carries one run's moving parts.
-type procDrill struct {
-	cfg    ProcConfig
-	env    *wallclock.Env
-	cl     *proc.Client
-	mgr    *exec.Cmd
-	nodes  map[cluster.NodeID]*exec.Cmd
-	proxy  *transport.FaultProxy
-	keys   []keyState
-	rep    *ProcReport
-	stop   bool          // set in task context; writers poll it
-	faultC chan struct{} // closed (from a raw goroutine) when the fault lands
-}
-
-// RunProcDrill executes one multi-process scenario end to end. The report's
-// Pass field is the verdict; err is reserved for harness failures (a child
-// that never came up, a missing Spawn).
-func RunProcDrill(cfg ProcConfig) (*ProcReport, error) {
-	cfg.setProcDefaults()
-	d := &procDrill{
-		cfg:    cfg,
-		nodes:  make(map[cluster.NodeID]*exec.Cmd),
-		keys:   make([]keyState, cfg.Keys),
-		rep:    &ProcReport{Scenario: cfg.Scenario, Seed: cfg.Seed},
-		faultC: make(chan struct{}),
-	}
-	if cfg.Spawn == nil {
-		return d.rep, errors.New("chaos: proc drill needs a Spawn function")
-	}
-	defer d.reapAll()
-
-	mgrAddr, err := freeLocalAddr()
-	if err != nil {
-		return d.rep, err
-	}
-	d.mgr, err = cfg.Spawn(ProcSpec{
-		Role: "manager", Listen: mgrAddr,
-		NumPart: cfg.NumPart, R: cfg.R, HBTimeout: cfg.HBTimeout,
 	})
-	if err != nil {
-		return d.rep, fmt.Errorf("spawn manager: %w", err)
-	}
-	if err := awaitListener(mgrAddr, 15*time.Second); err != nil {
-		return d.rep, fmt.Errorf("manager never came up: %w", err)
-	}
+}
 
-	// The partition scenario interposes a fault proxy on ONE node's
-	// heartbeat link; everything else talks to the manager directly.
-	if cfg.Scenario == ProcPartition {
-		d.proxy, err = transport.NewFaultProxy("127.0.0.1:0", mgrAddr, cfg.Seed)
-		if err != nil {
-			return d.rep, err
-		}
-		defer d.proxy.Close()
+// startProcCluster spawns the manager and the nodes and connects a client.
+func (d *drill) startProcCluster(t runtime.Task, mgrAddr string) error {
+	pr := d.proc
+	var err error
+	if pr.mgr, err = d.spawn(t, Spec{Role: "manager", Listen: mgrAddr}); err != nil {
+		return err
 	}
-	for i := 1; i <= cfg.Nodes; i++ {
-		id := cluster.NodeID(i)
-		addr, err := freeLocalAddr()
+	for id := cluster.NodeID(1); id <= procNodes; id++ {
+		addr, err := freeAddr()
 		if err != nil {
-			return d.rep, err
+			return err
 		}
-		hbTarget := mgrAddr
-		if d.proxy != nil && i == cfg.Nodes {
-			hbTarget = d.proxy.Addr()
+		hb := mgrAddr
+		if id == procNodes {
+			hb = d.proxy.Addr()
 		}
-		d.nodes[id], err = cfg.Spawn(ProcSpec{
-			Role: "node", ID: id, Listen: addr, Manager: hbTarget,
-			NumPart: cfg.NumPart, HBInterval: cfg.HBInterval,
-		})
-		if err != nil {
-			return d.rep, fmt.Errorf("spawn node %d: %w", id, err)
+		if pr.nodes[id], err = d.spawn(t, Spec{Role: "node", ID: id, Listen: addr, Manager: hb}); err != nil {
+			return err
 		}
 	}
-
-	d.env = wallclock.New()
-	d.cl = proc.NewClient(proc.ClientConfig{
-		Env:     d.env,
+	pr.cl = proc.NewClient(proc.ClientConfig{
+		Env:     d.env.(*wallclock.Env),
 		Manager: mgrAddr,
 		// Generous retries: one op must be able to ride out the detection
-		// window (HBTimeout plus a couple of heartbeat cadences) on NACKs.
+		// window (the failure timeout plus a few heartbeats) on NACKs.
 		Retries:    60,
 		RetrySleep: 25 * runtime.Millisecond,
 	})
-
-	done := make(chan struct{})
-	var harnessErr error
-	d.env.Spawn("proc-drill", func(t runtime.Task) {
-		harnessErr = d.run(t)
-		d.finish()
-		d.cl.Close()
-		close(done)
-	})
-	select {
-	case <-done:
-	case <-time.After(cfg.Budget):
-		harnessErr = errors.New("chaos: proc drill did not finish within its budget")
-	}
-	waitBoundedEnv(d.env, 15*time.Second)
-	return d.rep, harnessErr
+	d.clients = []client{procClient{pr.cl}}
+	return nil
 }
 
-// run drives the drill inside the scheduler: readiness, clean preload,
-// fault, convergence, verification, graceful shutdown.
-func (d *procDrill) run(t runtime.Task) error {
-	if !d.awaitMembers(t, 30*time.Second) {
-		return errors.New("chaos: cluster never assembled (not all nodes RUNNING)")
+// allRunning: every node is RUNNING and synced.
+func (pr *procs) allRunning(v *cluster.View) bool {
+	if len(v.States) != procNodes || len(v.Unsynced) != 0 {
+		return false
 	}
-	d.sweep(t, 0, 1, false) // version 1 of every key, fault-free
-	v := d.cl.View()
-	d.rep.EpochBefore = v.Epoch
-
-	// The victim: partition 0's chain tail or head for the kill scenarios,
-	// the proxied node for the partition scenario.
-	chain := v.Chain(0)
-	if len(chain) == 0 {
-		return errors.New("chaos: partition 0 has no chain")
-	}
-	switch d.cfg.Scenario {
-	case ProcKillTail:
-		d.rep.Victim = chain[len(chain)-1]
-	case ProcKillHead:
-		d.rep.Victim = chain[0]
-	case ProcPartition:
-		d.rep.Victim = cluster.NodeID(d.cfg.Nodes)
-	default:
-		return fmt.Errorf("chaos: unknown proc scenario %q", d.cfg.Scenario)
-	}
-
-	// The fault lands from a raw goroutine mid-load, like a real crash.
-	victim := d.rep.Victim
-	timer := time.AfterFunc(d.cfg.KillAfter, func() {
-		switch d.cfg.Scenario {
-		case ProcPartition:
-			d.proxy.Partition()
-			d.proxy.KillAll() // sever the in-flight heartbeat conn too
-		default:
-			syscall.Kill(d.nodes[victim].Process.Pid, syscall.SIGKILL)
+	for id := cluster.NodeID(1); id <= procNodes; id++ {
+		if v.States[id] != cluster.StateRunning {
+			return false
 		}
-		close(d.faultC)
-	})
-	defer timer.Stop()
-
-	// Writers hammer versioned writes in disjoint key stripes until the
-	// drill releases them; they ride through the reconfiguration on the
-	// client's NACK-refresh-retry loop.
-	const nWriters = 2
-	evs := make([]runtime.Event, 0, nWriters)
-	for w := 0; w < nWriters; w++ {
-		w := w
-		ev := d.env.MakeEvent()
-		evs = append(evs, ev)
-		d.env.Spawn("proc-writer", func(q runtime.Task) {
-			defer ev.Fire(nil)
-			for !d.stop {
-				d.sweep(q, w, nWriters, true)
-				q.Sleep(2 * runtime.Millisecond)
-			}
-		})
 	}
+	return true
+}
 
-	// Convergence: the manager must cut the victim from the view.
-	if !d.awaitEpoch(t, 30*time.Second, func(v *cluster.View) bool {
+// awaitView refreshes the client's view until cond holds or the budget runs
+// out. Refresh errors are retried — the manager may be mid-reconfiguration.
+func (pr *procs) awaitView(d *drill, t runtime.Task, budget runtime.Time, cond func(*cluster.View) bool) bool {
+	deadline := t.Now() + budget
+	for t.Now() < deadline && !d.aborted.Load() {
+		if err := pr.cl.Refresh(t); err == nil {
+			if v := pr.cl.View(); v != nil && cond(v) {
+				return true
+			}
+		}
+		t.Sleep(procHBEvery)
+	}
+	return false
+}
+
+// evicted waits for a view without the victim.
+func (pr *procs) evicted(d *drill, t runtime.Task, victim cluster.NodeID) {
+	if !pr.awaitView(d, t, 30*runtime.Second, func(v *cluster.View) bool {
 		_, present := v.States[victim]
 		return v.Epoch > d.rep.EpochBefore && !present
 	}) {
 		d.rep.violate("manager never removed node %d from the view", victim)
 	}
+}
 
-	// The partition scenario heals and demands the full round trip: the
-	// silenced node re-joins, re-syncs via COPY, and returns to RUNNING.
-	if d.cfg.Scenario == ProcPartition {
+// serving keeps the window open, bounded, until a write is acked after the
+// fault: the cluster kept serving through the reconfiguration.
+func (pr *procs) serving(d *drill, t runtime.Task) {
+	d.waitFor(t, 10*runtime.Second, func() bool { return d.rep.AckedAfterFault > 0 })
+}
+
+// procKill SIGKILLs partition 0's chain tail (or head) mid-load.
+func procKill(tail bool) func(d *drill, t runtime.Task) {
+	return func(d *drill, t runtime.Task) {
+		pr := d.proc
+		chain := pr.cl.View().Chain(0)
+		victim := chain[0]
+		if tail {
+			victim = chain[len(chain)-1]
+		}
+		d.rep.Victim = victim
+		d.loaded(t, func() {
+			t.Sleep(killAfter)
+			sigkill(t, pr.nodes[victim])
+			pr.dead = victim
+			d.faulted = true
+			pr.evicted(d, t, victim)
+			pr.serving(d, t)
+		})
+	}
+}
+
+// procPartition silences the proxied node's heartbeats until the manager
+// evicts it, heals, and demands the full round trip: the node re-joins,
+// re-syncs via COPY and returns to RUNNING.
+func procPartition(d *drill, t runtime.Task) {
+	pr := d.proc
+	victim := cluster.NodeID(procNodes)
+	d.rep.Victim = victim
+	d.loaded(t, func() {
+		t.Sleep(killAfter)
+		d.proxy.Partition()
+		d.proxy.KillAll() // sever the in-flight heartbeat conn too
+		d.faulted = true
+		pr.evicted(d, t, victim)
 		d.proxy.Heal()
-		if !d.awaitEpoch(t, 45*time.Second, func(v *cluster.View) bool {
-			return len(v.States) == d.cfg.Nodes && v.States[victim] == cluster.StateRunning
-		}) {
+		if !pr.awaitView(d, t, 45*runtime.Second, pr.allRunning) {
 			d.rep.violate("node %d never re-joined and re-synced after the heal", victim)
 		}
-	}
-
-	d.stop = true
-	runtime.WaitAll(t, evs...)
-	if v := d.cl.View(); v != nil {
-		d.rep.EpochAfter = v.Epoch
-	}
-	d.verify(t)
-	d.shutdown()
-	return nil
-}
-
-// sweep writes the next version of every key in the writer's stripe and
-// interleaves invariant-checked reads, with the same acked/poisoned
-// bookkeeping as the served drills. Key state is only touched in task
-// context — the execution contract is the lock.
-func (d *procDrill) sweep(t runtime.Task, off, stride int, faulty bool) {
-	for i := off; i < len(d.keys); i += stride {
-		ks := &d.keys[i]
-		if !ks.poisoned {
-			ver := ks.maxIssued + 1
-			ks.maxIssued = ver
-			err := d.cl.Put(t, keyName(i), valFor(i, ver))
-			if err != nil {
-				d.rep.WritesFailed++
-				if !proc.WriteNotExecuted(err) {
-					ks.poisoned = true
-				}
-			} else {
-				ks.lastAcked = ver
-				d.rep.WritesAcked++
-				select {
-				case <-d.faultC:
-					d.rep.AckedAfterFault++
-				default:
-				}
-			}
-		}
-		d.checkProcRead(t, (i+len(d.keys)/2)%len(d.keys), faulty)
-	}
-}
-
-// checkProcRead fetches key j under the cluster read invariants. Chains mean
-// a non-acked write can still surface (a NACKed write may have reached a
-// chain prefix that survives reconfiguration), so the invariant is the
-// one-sided CRRS contract: never below the acked floor, never beyond the
-// issued ceiling.
-func (d *procDrill) checkProcRead(t runtime.Task, j int, faulty bool) {
-	ks := &d.keys[j]
-	ackedBefore := ks.lastAcked
-	d.rep.Reads++
-	val, err := d.cl.Get(t, keyName(j))
-	switch {
-	case errors.Is(err, core.ErrNotFound):
-		if ackedBefore > 0 {
-			d.rep.violate("lost acked write: key %04d read NotFound with lastAcked=%d", j, ackedBefore)
-		}
-	case err != nil:
-		d.rep.ReadErrors++
-		if !faulty {
-			d.rep.violate("read of key %04d failed outside any fault window: %v", j, err)
-		}
-	default:
-		ver, ok := parseVer(val)
-		if !ok {
-			d.rep.violate("unparseable value for key %04d: %q", j, val)
-			return
-		}
-		if ver > ks.maxIssued {
-			d.rep.violate("phantom version: key %04d read v%d, max issued v%d", j, ver, ks.maxIssued)
-		}
-		if ver < ackedBefore {
-			d.rep.violate("stale read: key %04d read v%d, lastAcked v%d", j, ver, ackedBefore)
-		}
-	}
-}
-
-// awaitMembers polls the manager until every node is present and RUNNING.
-func (d *procDrill) awaitMembers(t runtime.Task, budget time.Duration) bool {
-	return d.awaitEpoch(t, budget, func(v *cluster.View) bool {
-		if len(v.States) != d.cfg.Nodes {
-			return false
-		}
-		for i := 1; i <= d.cfg.Nodes; i++ {
-			if v.States[cluster.NodeID(i)] != cluster.StateRunning {
-				return false
-			}
-		}
-		return true
+		pr.serving(d, t)
 	})
 }
 
-// awaitEpoch refreshes the client's view until cond holds or the budget
-// runs out. Refresh errors are retried — the manager may be mid-kill.
-func (d *procDrill) awaitEpoch(t runtime.Task, budget time.Duration, cond func(*cluster.View) bool) bool {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		if err := d.cl.Refresh(t); err == nil {
-			if v := d.cl.View(); v != nil && cond(v) {
-				return true
-			}
-		}
-		t.Sleep(runtime.Time(d.cfg.HBInterval))
+// expectProc: the view must have moved past the fault, and the cluster must
+// have kept acking writes after it.
+func expectProc(r *Report) {
+	if r.FinalEpoch <= r.EpochBefore {
+		r.violate("view epoch never advanced past the fault (%d → %d)", r.EpochBefore, r.FinalEpoch)
 	}
-	return false
-}
-
-// verify is the post-convergence pass: every key re-read against the final
-// view; no error is tolerable now.
-func (d *procDrill) verify(t runtime.Task) {
-	for i := range d.keys {
-		ks := &d.keys[i]
-		d.rep.Reads++
-		val, err := d.cl.Get(t, keyName(i))
-		switch {
-		case errors.Is(err, core.ErrNotFound):
-			if ks.lastAcked > 0 {
-				d.rep.violate("lost acked write: key %04d NotFound after convergence, lastAcked=%d", i, ks.lastAcked)
-			}
-		case err != nil:
-			d.rep.ReadErrors++
-			d.rep.violate("key %04d unreadable after convergence: %v", i, err)
-		default:
-			ver, ok := parseVer(val)
-			switch {
-			case !ok:
-				d.rep.violate("unparseable value for key %04d after convergence: %q", i, val)
-			case ver > ks.maxIssued:
-				d.rep.violate("phantom version after convergence: key %04d v%d > issued v%d", i, ver, ks.maxIssued)
-			case ver < ks.lastAcked:
-				d.rep.violate("lost acked write: key %04d read v%d < acked v%d", i, ver, ks.lastAcked)
-			}
-		}
+	if r.AckedAfterFault == 0 {
+		r.violate("no write was acked after the fault — the cluster stopped serving")
 	}
 }
 
-// shutdown SIGTERMs every surviving process and verifies the graceful-drain
-// contract: exit code 0 and (when the spawner captured stdout into a
-// bytes.Buffer) the "drained" line.
-func (d *procDrill) shutdown() {
-	killed := cluster.NodeID(0)
-	if d.cfg.Scenario == ProcKillTail || d.cfg.Scenario == ProcKillHead {
-		killed = d.rep.Victim
+func runKill(d *drill) (*Report, error) {
+	if d.cfg.Spawn == nil {
+		return nil, errors.New("chaos: the kill scenario needs Config.Spawn")
 	}
-	for id, cmd := range d.nodes {
-		if id == killed {
-			continue
+	addr, err := freeAddr()
+	if err != nil {
+		return nil, err
+	}
+	env := wallclock.New()
+	pr := &procs{children: make(map[*exec.Cmd]*bytes.Buffer), serveAddr: addr}
+	d.env, d.proc = env, pr
+	d.keys = make([]keyState, killKeys)
+	d.writers = 4
+	// Short deadline, few attempts: a dead server surfaces as an error in
+	// about a second instead of a long retry tail.
+	rc := server.NewReliableClient(server.ReliableConfig{
+		Env:         env,
+		Dial:        dialTCP(env, addr),
+		Depth:       16,
+		Deadline:    500 * runtime.Millisecond,
+		MaxAttempts: 2,
+		BackoffBase: 10 * runtime.Millisecond,
+		Seed:        d.cfg.Seed,
+		Obs:         d.cfg.Obs,
+	})
+	d.clients = []client{reliableClient{rc, d.rep}}
+	return d.run(func(t runtime.Task) error {
+		defer rc.Close()
+		var err error
+		if pr.serve, err = d.spawn(t, Spec{Role: "serve", Listen: addr}); err != nil {
+			return err
 		}
-		d.drainChild(fmt.Sprintf("node %d", id), cmd)
-	}
-	d.drainChild("manager", d.mgr)
+		d.sweeps(t, 1, false) // version 1 of every key, fault-free
+		d.row.steps(d, t)
+		if pr.serve != nil { // nil: the restart failed, and the steps said why
+			d.settle(t)
+			d.finalCheck(t, nil)
+			rc.Close()
+			d.drainChildren(t, child{"serve child", pr.serve})
+		}
+		foldReliable(d.rep, []*server.ReliableClient{rc})
+		d.finish()
+		return nil
+	})
 }
 
-// drainChild SIGTERMs one child and waits, bounded, for a clean exit.
-func (d *procDrill) drainChild(name string, cmd *exec.Cmd) {
-	if cmd == nil || cmd.Process == nil {
-		return
-	}
-	cmd.Process.Signal(syscall.SIGTERM)
-	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
-	select {
-	case err := <-waited:
-		if err != nil {
-			d.rep.violate("%s exited dirty on SIGTERM: %v", name, err)
-		}
-	case <-time.After(15 * time.Second):
-		d.rep.violate("%s did not drain within 15s of SIGTERM", name)
-		syscall.Kill(cmd.Process.Pid, syscall.SIGKILL)
-		<-waited
-	}
-	if buf, ok := cmd.Stdout.(*bytes.Buffer); ok {
-		if !bytes.Contains(buf.Bytes(), []byte("drained")) {
-			d.rep.violate("%s never printed \"drained\" on SIGTERM", name)
-		}
+// killServe SIGKILLs the serve child mid-load and restarts it on the same
+// image.
+func killServe(d *drill, t runtime.Task) {
+	pr := d.proc
+	d.loaded(t, func() {
+		t.Sleep(killAfter)
+		sigkill(t, pr.serve)
+		d.faulted = true
+	})
+	d.rep.Restarts++
+	var err error
+	if pr.serve, err = d.spawn(t, Spec{Role: "serve", Listen: pr.serveAddr}); err != nil {
+		d.rep.violate("serve child never came back: %v", err)
 	}
 }
 
-// finish folds counters into the report and applies scenario expectations:
-// the view must have moved, and the cluster must have kept acking writes
-// after the fault.
-func (d *procDrill) finish() {
-	for i := range d.keys {
-		if d.keys[i].poisoned {
-			d.rep.Poisoned++
-		}
-	}
-	if d.rep.EpochAfter <= d.rep.EpochBefore {
-		d.rep.violate("view epoch never advanced past the fault (%d → %d)",
-			d.rep.EpochBefore, d.rep.EpochAfter)
-	}
-	if d.rep.AckedAfterFault == 0 {
-		d.rep.violate("no write was acked after the fault — the cluster stopped serving")
-	}
-	d.rep.Pass = len(d.rep.Violations) == 0
-}
-
-// reapAll makes sure no child outlives the drill, whatever path exited.
-func (d *procDrill) reapAll() {
-	reap := func(cmd *exec.Cmd) {
-		if cmd == nil || cmd.Process == nil {
+// spawn starts one child built by Config.Spawn, capturing its output, and
+// waits, bounded, for its listener; leedctl's roles and `serve -listen`
+// bind before serving, so connect == ready. The blocking work runs outside
+// the execution contract. A child that never came up is killed and reaped.
+func (d *drill) spawn(t runtime.Task, spec Spec) (*exec.Cmd, error) {
+	cmd := d.cfg.Spawn(spec)
+	out := &bytes.Buffer{}
+	cmd.Stdout, cmd.Stderr = out, out
+	var err error
+	t.Blocking(func() {
+		if err = cmd.Start(); err != nil {
 			return
 		}
-		if cmd.ProcessState == nil {
-			syscall.Kill(cmd.Process.Pid, syscall.SIGKILL)
+		d.proc.mu.Lock()
+		d.proc.children[cmd] = out
+		d.proc.mu.Unlock()
+		if err = awaitListener(spec.Listen, 15*time.Second); err != nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+			err = fmt.Errorf("%w\nchild output:\n%s", err, out)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s child: %w", spec.Role, err)
+	}
+	return cmd, nil
+}
+
+// sigkill kills one child the hard way, like a crash, and reaps it.
+func sigkill(t runtime.Task, cmd *exec.Cmd) {
+	cmd.Process.Signal(syscall.SIGKILL)
+	t.Blocking(func() { cmd.Wait() })
+}
+
+// reap kills every child still running, so none outlives the drill
+// whatever path ended it. Children are waited for only once the drill task
+// has finished: an abandoned task may still be waiting on one itself.
+func (d *drill) reap(finished bool) {
+	d.proc.mu.Lock()
+	defer d.proc.mu.Unlock()
+	for cmd := range d.proc.children {
+		cmd.Process.Kill()
+		if finished && cmd.ProcessState == nil {
 			cmd.Wait()
 		}
 	}
-	for _, cmd := range d.nodes {
-		reap(cmd)
-	}
-	reap(d.mgr)
 }
 
-// freeLocalAddr reserves an ephemeral loopback port and releases it for a
-// child to bind. The tiny race window is acceptable for a drill.
-func freeLocalAddr() (string, error) {
+// child names one spawned process for drainChildren.
+type child struct {
+	name string
+	cmd  *exec.Cmd
+}
+
+// drainChildren SIGTERMs the children together and demands the
+// graceful-drain contract of each: exit status 0 within 15s and the
+// "drained" line in its output.
+func (d *drill) drainChildren(t runtime.Task, children ...child) {
+	errs := make([]error, len(children))
+	t.Blocking(func() {
+		var wg sync.WaitGroup
+		for i, c := range children {
+			c.cmd.Process.Signal(syscall.SIGTERM)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				waited := make(chan error, 1)
+				go func() { waited <- c.cmd.Wait() }()
+				select {
+				case errs[i] = <-waited:
+				case <-time.After(15 * time.Second):
+					c.cmd.Process.Kill()
+					<-waited
+					errs[i] = errors.New("did not drain within 15s of SIGTERM")
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	d.proc.mu.Lock()
+	defer d.proc.mu.Unlock()
+	for i, c := range children {
+		if errs[i] != nil {
+			d.rep.violate("%s exited dirty on SIGTERM: %v", c.name, errs[i])
+		}
+		if !bytes.Contains(d.proc.children[c.cmd].Bytes(), []byte("drained")) {
+			d.rep.violate("%s never printed \"drained\" on SIGTERM", c.name)
+		}
+	}
+}
+
+// freeAddr reserves an ephemeral loopback port and releases it for a child
+// to bind. The tiny race window is acceptable for a drill.
+func freeAddr() (string, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
@@ -610,8 +418,7 @@ func freeLocalAddr() (string, error) {
 	return addr, nil
 }
 
-// awaitListener polls until addr accepts a TCP connection; both roles bind
-// their listeners before printing their ready line, so connect == ready.
+// awaitListener polls until addr accepts a TCP connection.
 func awaitListener(addr string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
@@ -623,15 +430,4 @@ func awaitListener(addr string, budget time.Duration) error {
 		time.Sleep(50 * time.Millisecond)
 	}
 	return fmt.Errorf("no listener on %s within %v", addr, budget)
-}
-
-// waitBoundedEnv drains env.Wait with a hard timeout so a wedged task
-// cannot hang the drill process.
-func waitBoundedEnv(env *wallclock.Env, budget time.Duration) {
-	done := make(chan struct{})
-	go func() { env.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(budget):
-	}
 }

@@ -1,192 +1,77 @@
 package chaos
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"leed/internal/core"
 	"leed/internal/engine"
 	"leed/internal/flashsim"
-	"leed/internal/obs"
 	"leed/internal/runtime"
 	"leed/internal/runtime/wallclock"
 	"leed/internal/server"
 	"leed/internal/transport"
 )
 
-// Served drills are the real-socket complement of the fabric drills above:
-// instead of a simulated cluster they stand up the actual served path —
-// engine, server front-end, TCP listener — put a transport.FaultProxy on
-// the wire, and drive it with ReliableClients whose deadlines, retries,
-// reconnects, and circuit breakers are the thing under test. The fault
-// vocabulary is the same LinkFaults config netsim.Faults speaks; what the
-// drill verifies is the client-visible contract:
-//
-//   - no acknowledged write is ever lost, whatever the wire does;
-//   - write ambiguity is only ever surfaced, never silently resolved
-//     (a failed PUT poisons its key in the tracker, exactly like the
-//     fabric drills' quarantine);
-//   - client tail latency stays bounded through a partition — the breaker
-//     opens and converts hangs into fast failures instead of letting every
-//     op eat the full deadline × attempts budget.
-//
-// Real sockets mean real time: like the fabric drills' wallclock backend,
-// counters vary run to run and only the invariants are reproducible.
-
-// ServedScenario names one served-path fault schedule.
-type ServedScenario string
+// The served shape is the real-socket complement of the fabric: the actual
+// served path — engine, server front-end, TCP listener — with a
+// transport.FaultProxy on the wire, driven by ReliableClients whose
+// deadlines, retries, reconnects and circuit breakers are the thing under
+// test. Besides the shared invariants, a partition must open the breaker
+// and keep the tail bounded: hangs turn into fast failures instead of
+// every op eating the full deadline × attempts budget.
 
 const (
-	// ServedProxyDrop kills connections probabilistically mid-stream: the
-	// TCP rendering of sustained message loss. Clients must reconnect and
-	// retry through it with zero acked-write loss.
-	ServedProxyDrop ServedScenario = "proxy-drop"
-	// ServedProxyPartition blackholes the wire for a while, then heals:
-	// requests stall into their deadlines, the breaker opens, and after the
-	// heal the working set must read back intact.
-	ServedProxyPartition ServedScenario = "proxy-partition"
+	servedKeys = 24
+	// servedDeadline is each client's per-request deadline; the partition's
+	// tail bound derives from it.
+	servedDeadline = 100 * runtime.Millisecond
+	// servedPartitionFor is how long the partition blackholes the wire.
+	servedPartitionFor = 400 * time.Millisecond
 )
 
-// ServedScenarios lists the served-path scenarios in a fixed order.
-func ServedScenarios() []ServedScenario {
-	return []ServedScenario{ServedProxyDrop, ServedProxyPartition}
+// reliableClient adapts server.ReliableClient: it retries only what cannot
+// apply a write twice, and tells a pre-execution rejection from an
+// ambiguous failure. Breaker excursions are noted on the report.
+type reliableClient struct {
+	rc  *server.ReliableClient
+	rep *Report
 }
 
-// ServedConfig shapes one served-path drill.
-type ServedConfig struct {
-	Seed     int64
-	Scenario ServedScenario
-
-	// Keys is the tracked working set; Rounds is how many sweeps run inside
-	// the fault window. Defaults 32 / 2.
-	Keys   int
-	Rounds int
-	// Clients is how many ReliableClients drive concurrently, each owning a
-	// disjoint key slice. Default 2.
-	Clients int
-
-	// Deadline is the per-request deadline each client runs with; the
-	// partition scenario's tail-latency bound derives from it. Default
-	// 150ms.
-	Deadline runtime.Time
-	// PartitionFor is how long the partition scenario blackholes the wire.
-	// Default 700ms.
-	PartitionFor time.Duration
-
-	// Budget bounds the whole drill in real time. Default 60s.
-	Budget time.Duration
-
-	// Obs, when set, receives the server's and clients' metrics (the drill
-	// otherwise creates its own registry); the final snapshot rides the
-	// report either way.
-	Obs *obs.Registry
+func (c reliableClient) Put(t runtime.Task, key, val []byte) (bool, error) {
+	err := c.rc.Put(t, key, val)
+	c.noteBreaker()
+	return false, err
 }
 
-func (cfg *ServedConfig) setDefaults() {
-	if cfg.Scenario == "" {
-		cfg.Scenario = ServedProxyDrop
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 32
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 2
-	}
-	if cfg.Clients == 0 {
-		cfg.Clients = 2
-	}
-	if cfg.Deadline == 0 {
-		cfg.Deadline = 150 * runtime.Millisecond
-	}
-	if cfg.PartitionFor == 0 {
-		cfg.PartitionFor = 700 * time.Millisecond
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 60 * time.Second
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = obs.NewRegistry()
+func (c reliableClient) Get(t runtime.Task, key []byte) ([]byte, error) {
+	val, err := c.rc.Get(t, key)
+	c.noteBreaker()
+	return val, err
+}
+
+func (c reliableClient) noteBreaker() {
+	if c.rc.BreakerState() != 0 {
+		c.rep.BreakerOpened = true
 	}
 }
 
-// ServedReport is a served-path drill's outcome.
-type ServedReport struct {
-	Scenario ServedScenario
-	Seed     int64
+func (reliableClient) NotExecuted(err error) bool { return server.WriteNotExecuted(err) }
+func (reliableClient) Reapplies() bool            { return false }
 
-	WritesAcked  int64
-	WritesFailed int64
-	Reads        int64
-	ReadErrors   int64
-	Poisoned     int // keys whose final version is ambiguous
-
-	// Client reliability counters, summed across clients.
-	Attempts   int64
-	Retries    int64
-	Timeouts   int64
-	Reconnects int64
-	Overloads  int64
-	FastFails  int64
-
-	// BreakerOpened records whether any client's breaker left closed state
-	// during the drill (the partition scenario requires it).
-	BreakerOpened bool
-	// MaxStall is the longest any single driver op took, wall clock — the
-	// tail-latency bound the breaker is there to enforce.
-	MaxStall time.Duration
-
-	Proxy transport.FaultProxyStats
-
-	Violations []string
-	Pass       bool
-	Metrics    *obs.Snapshot
-}
-
-func (r *ServedReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// String renders a compact single-drill summary.
-func (r *ServedReport) String() string {
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
+// foldReliable sums the clients' reliability counters into the report.
+func foldReliable(rep *Report, clients []*server.ReliableClient) {
+	for _, rc := range clients {
+		st := rc.Stats()
+		rep.Retries += st.Retries
+		rep.Timeouts += st.Timeouts
+		rep.Reconnects += st.Reconnects
+		rep.FastFails += st.FastFails
 	}
-	return fmt.Sprintf(
-		"served %s seed=%d: %s acked=%d failed=%d poisoned=%d reads=%d readErrs=%d "+
-			"retries=%d timeouts=%d reconnects=%d fastFails=%d breakerOpened=%v maxStall=%v "+
-			"proxyKills=%d violations=%d",
-		r.Scenario, r.Seed, verdict, r.WritesAcked, r.WritesFailed, r.Poisoned,
-		r.Reads, r.ReadErrors, r.Retries, r.Timeouts, r.Reconnects, r.FastFails,
-		r.BreakerOpened, r.MaxStall, r.Proxy.KilledByDrop+r.Proxy.Killed, len(r.Violations))
 }
 
-// servedDrill carries one run's moving parts.
-type servedDrill struct {
-	cfg     ServedConfig
-	env     *wallclock.Env
-	srv     *server.Server
-	proxy   *transport.FaultProxy
-	clients []*server.ReliableClient
-	keys    []keyState
-	rep     *ServedReport
-}
-
-// RunServedDrill executes one served-path scenario end to end. The report's
-// Pass field is the verdict; err is reserved for harness failures.
-func RunServedDrill(cfg ServedConfig) (*ServedReport, error) {
-	cfg.setDefaults()
-	d := &servedDrill{
-		cfg:  cfg,
-		keys: make([]keyState, cfg.Keys),
-		rep:  &ServedReport{Scenario: cfg.Scenario, Seed: cfg.Seed},
-	}
+func runServed(d *drill) (*Report, error) {
 	env := wallclock.New()
 	d.env = env
-
-	// The stack: engine over in-memory devices, server front-end, real TCP
-	// listener, fault proxy on the wire, reliable clients dialing the proxy.
 	const devCap = 16 << 20
 	eng := engine.New(engine.Config{
 		Env:              env,
@@ -195,8 +80,8 @@ func RunServedDrill(cfg ServedConfig) (*ServedReport, error) {
 		Geometry:         core.PlanPartition(4<<20, 16, 256, core.PlanOpts{}),
 		PartitionBytes:   4 << 20,
 	})
-	d.srv = server.New(server.Config{
-		Env: env, Engine: eng, Obs: cfg.Obs,
+	srv := server.New(server.Config{
+		Env: env, Engine: eng, Obs: d.cfg.Obs,
 		MaxInflightTotal: 256,
 		IdleTimeout:      10 * runtime.Second,
 	})
@@ -204,303 +89,101 @@ func RunServedDrill(cfg ServedConfig) (*ServedReport, error) {
 		ReadIdleTimeout: 30 * time.Second, // leak bound, not a behavior knob here
 	})
 	if err != nil {
-		return d.rep, err
+		return nil, err
 	}
-	d.srv.Serve(l)
-	d.proxy, err = transport.NewFaultProxy("127.0.0.1:0", l.Addr(), cfg.Seed)
+	srv.Serve(l)
+	proxy, err := transport.NewFaultProxy("127.0.0.1:0", l.Addr(), d.cfg.Seed)
 	if err != nil {
-		l.Close()
-		return d.rep, err
+		srv.Close()
+		return nil, err
 	}
-	addr := d.proxy.Addr()
-	for c := 0; c < cfg.Clients; c++ {
-		d.clients = append(d.clients, server.NewReliableClient(server.ReliableConfig{
-			Env: env,
-			Dial: func(t runtime.Task) (transport.Conn, error) {
-				return transport.DialTCPOpts(env, addr, transport.TCPOptions{
-					ReadIdleTimeout: 10 * time.Second,
-				})
-			},
+	defer proxy.Close()
+	d.proxy = proxy
+	var rcs []*server.ReliableClient
+	for c := 0; c < 2; c++ {
+		rc := server.NewReliableClient(server.ReliableConfig{
+			Env:         env,
+			Dial:        dialTCP(env, proxy.Addr()),
 			Depth:       8,
-			Deadline:    cfg.Deadline,
+			Deadline:    servedDeadline,
 			MaxAttempts: 5,
 			BackoffBase: 5 * runtime.Millisecond,
 			BackoffCap:  100 * runtime.Millisecond,
-			Seed:        cfg.Seed + int64(c),
+			Seed:        d.cfg.Seed + int64(c),
 			// Low threshold so a partition window a few deadlines long is
 			// guaranteed to trip it — the scenario asserts the breaker opens.
 			BreakerThreshold: 3,
 			BreakerCooloff:   200 * runtime.Millisecond,
-			Obs:              cfg.Obs,
-		}))
+			Obs:              d.cfg.Obs,
+		})
+		rcs = append(rcs, rc)
+		d.clients = append(d.clients, reliableClient{rc, d.rep})
 	}
+	d.keys = make([]keyState, servedKeys)
+	d.writers = len(rcs)
 
-	done := make(chan struct{})
-	env.Spawn("served-drill", func(t runtime.Task) {
-		d.run(t)
-		d.finish()
-		for _, rc := range d.clients {
+	return d.run(func(t runtime.Task) error {
+		defer srv.Close()
+		d.sweeps(t, 1, false) // version 1 of every key, fault-free
+		d.row.steps(d, t)
+		d.settle(t)
+		d.sweeps(t, 1, false) // post-heal: must be clean
+		d.finalCheck(t, nil)
+		foldReliable(d.rep, rcs)
+		ps := proxy.Stats()
+		d.rep.ProxyKills = ps.KilledByDrop + ps.Killed
+		for _, rc := range rcs {
 			rc.Close()
 		}
-		d.srv.Close()
-		close(done)
+		d.finish()
+		return nil
 	})
-	var harnessErr error
-	select {
-	case <-done:
-	case <-time.After(cfg.Budget):
-		harnessErr = errors.New("chaos: served drill did not finish within its budget")
-		d.srv.Close()
-	}
-	d.proxy.Close()
-	// Bounded drain, as in runDrillWallclock: a leaked task must not hang
-	// the harness.
-	drained := make(chan struct{})
-	go func() { d.env.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-time.After(15 * time.Second):
-	}
-	return d.rep, harnessErr
 }
 
-// run drives the drill: clean load, fault window per scenario, heal, final
-// verified sweep.
-func (d *servedDrill) run(p runtime.Task) {
-	d.parallelSweep(p, false) // version 1 of every key, fault-free
-
-	switch d.cfg.Scenario {
-	case ServedProxyDrop:
-		d.proxy.SetDrop(0.015) // per-16KB-chunk: a few kills per sweep
-		for r := 0; r < d.cfg.Rounds; r++ {
-			d.parallelSweep(p, true)
-		}
-		d.proxy.SetDrop(0)
-	case ServedProxyPartition:
-		d.proxy.Partition()
-		time.AfterFunc(d.cfg.PartitionFor, d.proxy.Heal)
-		for r := 0; r < d.cfg.Rounds; r++ {
-			d.parallelSweep(p, true)
-		}
-		// Make sure the heal has landed before the verification sweep.
-		for d.proxy.Faults().Partitioned {
-			p.Sleep(5 * runtime.Millisecond)
-		}
-	default:
-		d.rep.violate("unknown served scenario %q", d.cfg.Scenario)
-		return
-	}
-
-	d.settle(p)
-	d.parallelSweep(p, false) // post-heal: must be clean
-	d.verify(p)
-}
-
-// settle probes each client until it completes a request cleanly: after a
-// heal, breakers still in cooloff must be allowed to half-open and close
-// before the fault-free verification sweep, which tolerates no errors.
-func (d *servedDrill) settle(p runtime.Task) {
-	deadline := time.Now().Add(10 * time.Second)
-	for _, rc := range d.clients {
-		for time.Now().Before(deadline) {
-			_, err := rc.Get(p, keyName(0))
-			if err == nil || err == core.ErrNotFound {
-				break
-			}
-			p.Sleep(20 * runtime.Millisecond)
-		}
+// dialTCP is the ReliableClient dialer for a drill endpoint.
+func dialTCP(env *wallclock.Env, addr string) func(runtime.Task) (transport.Conn, error) {
+	return func(runtime.Task) (transport.Conn, error) {
+		return transport.DialTCPOpts(env, addr, transport.TCPOptions{ReadIdleTimeout: 10 * time.Second})
 	}
 }
 
-// parallelSweep runs one sweep with every client working its own key slice
-// concurrently; the caller's task is the barrier.
-func (d *servedDrill) parallelSweep(p runtime.Task, faulty bool) {
-	evs := make([]runtime.Event, 0, len(d.clients))
-	for c := range d.clients {
-		c := c
-		ev := d.env.MakeEvent()
-		evs = append(evs, ev)
-		d.env.Spawn("sweep-client", func(q runtime.Task) {
-			defer ev.Fire(nil)
-			d.sweepSlice(q, c, faulty)
-		})
-	}
-	runtime.WaitAll(p, evs...)
+func proxyDrop(d *drill, t runtime.Task) {
+	d.proxy.SetDrop(0.015) // per-16KB-chunk: a few kills per sweep
+	d.sweeps(t, d.rounds(), true)
+	d.proxy.SetDrop(0)
 }
 
-// sweepSlice writes the next version of every key owned by client c and
-// interleaves invariant-checked reads. Keys partition by index, so each
-// key's version history is totally ordered at its owning client.
-func (d *servedDrill) sweepSlice(q runtime.Task, c int, faulty bool) {
-	rc := d.clients[c]
-	for i := c; i < len(d.keys); i += len(d.clients) {
-		ks := &d.keys[i]
-		if !ks.poisoned {
-			ver := ks.maxIssued + 1
-			ks.maxIssued = ver
-			err := d.timedOp(q, rc, func() error {
-				return rc.Put(q, keyName(i), valFor(i, ver))
-			})
-			if err != nil {
-				d.rep.WritesFailed++
-				// The reliability layer already retried everything that was
-				// safe to retry. A breaker fast-fail or NACK exhaustion
-				// proves the write never executed — the key is still exactly
-				// at lastAcked. Anything else (deadline, dead conn) is
-				// ambiguous: quarantine the key, its final version is
-				// unknowable from the driver.
-				if !server.WriteNotExecuted(err) {
-					ks.poisoned = true
-				}
-			} else {
-				ks.lastAcked = ver
-				d.rep.WritesAcked++
-			}
-		}
-		j := (i + len(d.keys)/2) % len(d.keys)
-		d.checkServedRead(q, rc, j, faulty)
+func proxyPartition(d *drill, t runtime.Task) {
+	p := d.proxy
+	p.Partition()
+	time.AfterFunc(servedPartitionFor, p.Heal)
+	d.sweeps(t, d.rounds(), true)
+	for p.Faults().Partitioned { // the heal lands before the checks
+		t.Sleep(5 * runtime.Millisecond)
 	}
 }
 
-// timedOp runs one driver op, folding its wall-clock duration and the
-// client's breaker excursions into the report.
-func (d *servedDrill) timedOp(q runtime.Task, rc *server.ReliableClient, op func() error) error {
-	start := time.Now()
-	err := op()
-	if el := time.Since(start); el > d.rep.MaxStall {
-		d.rep.MaxStall = el
+func expectProxyDrop(r *Report) {
+	if r.ProxyKills == 0 {
+		r.violate("drop scenario ran but the proxy killed nothing")
 	}
-	if rc.BreakerState() != 0 {
-		d.rep.BreakerOpened = true
-	}
-	return err
-}
-
-// checkServedRead fetches key j and applies the read invariants. A key
-// sliced to another client may be mid-write there, so version-freshness is
-// only asserted for keys this reader owns; the lost-acked-write invariant
-// (the one that matters) is global and unconditional.
-func (d *servedDrill) checkServedRead(q runtime.Task, rc *server.ReliableClient, j int, faulty bool) {
-	ks := &d.keys[j]
-	ackedBefore := ks.lastAcked
-	d.rep.Reads++
-	val, err := d.timedGet(q, rc, keyName(j))
-	switch {
-	case err == core.ErrNotFound:
-		if ackedBefore > 0 {
-			d.rep.violate("lost acked write: key %04d read NotFound with lastAcked=%d", j, ackedBefore)
-		}
-	case err != nil:
-		d.rep.ReadErrors++
-		if !faulty {
-			d.rep.violate("read of key %04d failed outside any fault window: %v", j, err)
-		}
-	default:
-		ver, ok := parseVer(val)
-		if !ok {
-			d.rep.violate("unparseable value for key %04d: %q", j, val)
-			return
-		}
-		if ver > ks.maxIssued {
-			d.rep.violate("phantom version: key %04d read v%d, max issued v%d", j, ver, ks.maxIssued)
-		}
-		if ver < ackedBefore && !ks.poisoned {
-			d.rep.violate("stale read: key %04d read v%d, lastAcked v%d", j, ver, ackedBefore)
-		}
+	if r.Retries == 0 && r.Reconnects == 0 {
+		r.violate("drop scenario engaged no client recovery (retries=0, reconnects=0)")
 	}
 }
 
-func (d *servedDrill) timedGet(q runtime.Task, rc *server.ReliableClient, key []byte) ([]byte, error) {
-	var val []byte
-	err := d.timedOp(q, rc, func() error {
-		v, err := rc.Get(q, key)
-		val = v
-		return err
-	})
-	return val, err
-}
-
-// verify is the post-heal pass: every key re-read on a fault-free wire.
-func (d *servedDrill) verify(p runtime.Task) {
-	rc := d.clients[0]
-	for i := range d.keys {
-		ks := &d.keys[i]
-		d.rep.Reads++
-		val, err := rc.Get(p, keyName(i))
-		switch {
-		case err == core.ErrNotFound:
-			if ks.lastAcked > 0 {
-				d.rep.violate("lost acked write: key %04d NotFound after heal, lastAcked=%d", i, ks.lastAcked)
-			}
-		case err != nil:
-			d.rep.ReadErrors++
-			d.rep.violate("key %04d unreadable after heal: %v", i, err)
-		default:
-			ver, ok := parseVer(val)
-			switch {
-			case !ok:
-				d.rep.violate("unparseable value for key %04d after heal: %q", i, val)
-			case ver > ks.maxIssued:
-				d.rep.violate("phantom version after heal: key %04d v%d > issued v%d", i, ver, ks.maxIssued)
-			case ks.poisoned:
-				// Ambiguous history: any issued version ≥ lastAcked stands;
-				// losing the acked floor is still a violation.
-				if ver < ks.lastAcked {
-					d.rep.violate("ambiguous key %04d regressed: v%d < acked v%d", i, ver, ks.lastAcked)
-				}
-			case ver != ks.lastAcked:
-				d.rep.violate("final value mismatch: key %04d v%d, want acked v%d", i, ver, ks.lastAcked)
-			}
-		}
+func expectProxyPartition(r *Report) {
+	if !r.BreakerOpened {
+		r.violate("partition scenario never opened a breaker")
 	}
-}
-
-// finish folds counters into the report and applies scenario-level
-// expectations: the drill must not only preserve data, it must show the
-// machinery actually engaged (retries happened, the breaker opened during
-// a partition, the tail stayed bounded).
-func (d *servedDrill) finish() {
-	for i := range d.keys {
-		if d.keys[i].poisoned {
-			d.rep.Poisoned++
-		}
+	if r.Timeouts == 0 {
+		r.violate("partition scenario produced no client timeouts")
 	}
-	for _, rc := range d.clients {
-		st := rc.Stats()
-		d.rep.Attempts += st.Attempts
-		d.rep.Retries += st.Retries
-		d.rep.Timeouts += st.Timeouts
-		d.rep.Reconnects += st.Reconnects
-		d.rep.Overloads += st.Overloads
-		d.rep.FastFails += st.FastFails
+	// The tail bound: one op may at worst eat every attempt's deadline plus
+	// every backoff plus the breaker cooloff once. Anything past that means
+	// an op hung un-deadlined somewhere.
+	bound := 5*servedDeadline + 5*100*runtime.Millisecond + 200*runtime.Millisecond + 2*runtime.Second
+	if r.MaxStall > bound {
+		r.violate("unbounded stall: max op time %v exceeds bound %v", r.MaxStall, bound)
 	}
-	d.rep.Proxy = d.proxy.Stats()
-
-	switch d.cfg.Scenario {
-	case ServedProxyDrop:
-		if d.rep.Proxy.KilledByDrop == 0 {
-			d.rep.violate("drop scenario ran but the proxy killed nothing")
-		}
-		if d.rep.Retries == 0 && d.rep.Reconnects == 0 {
-			d.rep.violate("drop scenario engaged no client recovery (retries=0, reconnects=0)")
-		}
-	case ServedProxyPartition:
-		if !d.rep.BreakerOpened {
-			d.rep.violate("partition scenario never opened a breaker")
-		}
-		if d.rep.Timeouts == 0 {
-			d.rep.violate("partition scenario produced no client timeouts")
-		}
-		// The tail bound: one op may at worst eat every attempt's deadline
-		// plus every backoff plus the breaker cooloff once. Anything past
-		// that means an op hung un-deadlined somewhere.
-		bound := 5*time.Duration(d.cfg.Deadline) + 5*100*time.Millisecond +
-			200*time.Millisecond + 2*time.Second
-		if d.rep.MaxStall > bound {
-			d.rep.violate("unbounded stall: max op time %v exceeds bound %v", d.rep.MaxStall, bound)
-		}
-	}
-	d.rep.Pass = len(d.rep.Violations) == 0
-	snap := d.cfg.Obs.Snapshot()
-	d.rep.Metrics = &snap
 }

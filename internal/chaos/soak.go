@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"leed/internal/core"
 	"leed/internal/flashsim"
@@ -17,16 +16,13 @@ import (
 // Recover — after which every acknowledged write must still read back.
 //
 // The soak is written against runtime.Task, so the same code runs on the
-// deterministic sim backend (tests) and on the wall-clock backend
-// (`leedctl soak`).
+// deterministic sim backend and on the wall-clock backend against a real
+// image file (`leedctl -scenario soak chaos`).
 type SoakConfig struct {
 	Env  runtime.Env
 	Seed int64
 
-	Cycles      int   // crash-recovery cycles; default 3
-	OpsPerCycle int   // writes per cycle; default 256
-	Capacity    int64 // device bytes; default 24 MiB
-	ValLen      int   // object value size; default 128
+	Cycles int // crash-recovery cycles; default 3
 
 	// ErrorRate is the device fault probability during each cycle's middle
 	// window. Default 0.05; set negative for a fault-free soak.
@@ -40,27 +36,24 @@ type SoakConfig struct {
 	TornRate float64
 
 	// Device overrides the backing device (default: a fresh in-memory
-	// device of Capacity bytes). The soak formats it from scratch —
+	// device of soakCapacity bytes). The soak formats it from scratch —
 	// existing contents are overwritten.
 	Device flashsim.Device
 
 	// Obs, when set, receives the soak device's leed_dev_* series;
-	// SoakReport.Metrics carries its final snapshot.
+	// Report.Metrics carries its final snapshot.
 	Obs *obs.Registry
 }
+
+const (
+	soakOpsPerCycle = 256
+	soakValLen      = 128
+	soakCapacity    = 24 << 20
+)
 
 func (cfg *SoakConfig) setDefaults() {
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 3
-	}
-	if cfg.OpsPerCycle == 0 {
-		cfg.OpsPerCycle = 256
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = 24 << 20
-	}
-	if cfg.ValLen == 0 {
-		cfg.ValLen = 128
 	}
 	if cfg.ErrorRate == 0 {
 		cfg.ErrorRate = 0.05
@@ -76,50 +69,6 @@ func (cfg *SoakConfig) setDefaults() {
 	}
 }
 
-// SoakReport is a soak's outcome; like a drill Report, every field on the
-// sim backend is deterministic in the seed.
-type SoakReport struct {
-	Seed       int64
-	Pass       bool
-	Violations []string
-
-	Cycles                    int
-	WritesAcked, WritesFailed int64
-	Reads                     int64
-	DeviceInjected            int64
-	Recoveries                int64
-	RecoveredSegments         int64
-	LiveObjects               int64
-	Elapsed                   runtime.Time
-
-	// Metrics is the registry's final snapshot when SoakConfig.Obs was set.
-	// Excluded from String() (the byte-compared transcript).
-	Metrics *obs.Snapshot
-}
-
-// String renders the report with a fixed field order.
-func (r *SoakReport) String() string {
-	var b strings.Builder
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(&b, "soak seed=%d verdict=%s\n", r.Seed, verdict)
-	fmt.Fprintf(&b, "  cycles=%d writesAcked=%d writesFailed=%d reads=%d\n",
-		r.Cycles, r.WritesAcked, r.WritesFailed, r.Reads)
-	fmt.Fprintf(&b, "  deviceInjected=%d recoveries=%d recoveredSegments=%d\n",
-		r.DeviceInjected, r.Recoveries, r.RecoveredSegments)
-	fmt.Fprintf(&b, "  liveObjects=%d elapsed=%v\n", r.LiveObjects, r.Elapsed)
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "  violation: %s\n", v)
-	}
-	return b.String()
-}
-
-func (r *SoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
 // soakKey tracks one key's driver-side truth. A failed Put taints the key —
 // the write may or may not have landed — until the next acknowledged Put
 // supersedes whatever it left behind (ops against a single store are
@@ -130,34 +79,28 @@ type soakKey struct {
 }
 
 // RunSoak drives one soak inside task p and returns its report.
-func RunSoak(p runtime.Task, cfg SoakConfig) *SoakReport {
-	if cfg.Device != nil && cfg.Capacity == 0 {
-		cfg.Capacity = cfg.Device.Capacity()
-	}
+func RunSoak(p runtime.Task, cfg SoakConfig) *Report {
 	cfg.setDefaults()
-	rep := &SoakReport{Seed: cfg.Seed, Cycles: cfg.Cycles}
+	rep := &Report{Scenario: Soak, Seed: cfg.Seed}
 	start := cfg.Env.Now()
 
 	dev := cfg.Device
 	if dev == nil {
-		dev = flashsim.NewMemDevice(cfg.Env, cfg.Capacity)
+		dev = flashsim.NewMemDevice(cfg.Env, soakCapacity)
 	}
 	if cfg.Obs != nil {
 		flashsim.Observe(dev, cfg.Obs, nil, "soak")
 	}
 	fi := flashsim.NewFaultInjector(cfg.Env, dev, cfg.Seed+17)
 	fi.TornWriteRate = cfg.TornRate // only failing writes tear, so windows gate it
-	geo := core.PlanPartition(cfg.Capacity, 24, cfg.ValLen, core.PlanOpts{})
+	geo := core.PlanPartition(dev.Capacity(), 24, soakValLen, core.PlanOpts{})
 	store := core.NewStore(core.StoreConfigFor(geo, core.Config{
 		Env:    cfg.Env,
 		Device: fi,
 	}))
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	keyspace := cfg.OpsPerCycle / 2
-	if keyspace < 16 {
-		keyspace = 16
-	}
+	const keyspace = soakOpsPerCycle / 2
 	keys := make([]soakKey, keyspace)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("soak-%05d", i)) }
 
@@ -193,13 +136,13 @@ func RunSoak(p runtime.Task, cfg SoakConfig) *SoakReport {
 		val := func(i, op int) string {
 			return fmt.Sprintf("c%d-%d|soak-%05d", cycle, op, i)
 		}
-		for op := 0; op < cfg.OpsPerCycle; op++ {
+		for op := 0; op < soakOpsPerCycle; op++ {
 			// Device faults only in the middle half of the cycle, so every
 			// cycle also exercises clean writes before and after.
-			if op == cfg.OpsPerCycle/4 {
+			if op == soakOpsPerCycle/4 {
 				fi.ErrorRate = cfg.ErrorRate
 			}
-			if op == 3*cfg.OpsPerCycle/4 {
+			if op == 3*soakOpsPerCycle/4 {
 				fi.ErrorRate = 0
 			}
 			i := rng.Intn(keyspace)
@@ -234,7 +177,7 @@ func RunSoak(p runtime.Task, cfg SoakConfig) *SoakReport {
 			rep.violate("cycle %d recovery: %v", cycle, err)
 			break
 		}
-		rep.Recoveries++
+		rep.Restarts++
 		rep.RecoveredSegments += int64(segs)
 
 		// Post-recovery audit: every acked write must have survived.
@@ -243,6 +186,7 @@ func RunSoak(p runtime.Task, cfg SoakConfig) *SoakReport {
 		}
 	}
 
+	rep.Keys = keyspace
 	rep.LiveObjects = store.Objects()
 	rep.DeviceInjected = fi.Injected()
 	rep.Elapsed = cfg.Env.Now() - start
@@ -257,7 +201,7 @@ func RunSoak(p runtime.Task, cfg SoakConfig) *SoakReport {
 // checkSoakKey reads one key and applies the durability invariants: an
 // acknowledged write is never missing, and an untainted key reads exactly
 // its last acknowledged value.
-func checkSoakKey(p runtime.Task, store *core.Store, rep *SoakReport, k []byte, ks *soakKey, when string) {
+func checkSoakKey(p runtime.Task, store *core.Store, rep *Report, k []byte, ks *soakKey, when string) {
 	rep.Reads++
 	got, _, err := store.Get(p, k)
 	switch {

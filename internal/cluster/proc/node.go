@@ -640,10 +640,13 @@ func (n *Node) handleWrite(t runtime.Task, req *rpcproto.Request, resp *rpcproto
 	tr.Span("fwd", 0, rtt-runtime.Time(rpcproto.DisjointTotalNS(dresp.Spans)))
 	resp.Spans = append(resp.Spans, dresp.Spans...)
 	// The most-downstream outcome is authoritative (the tail decides
-	// NotFound for a DEL of a missing key, exactly as in-process).
+	// NotFound for a DEL of a missing key, exactly as in-process). A
+	// downstream NACK is not: this node and its upstream already hold the
+	// write, so relaying "never executed" would lie to the client. Like a
+	// failed forward, it is ambiguous.
 	resp.Status = dresp.Status
 	if dresp.Status == rpcproto.StatusNack {
-		resp.Epoch = dresp.Epoch
+		resp.Status = rpcproto.StatusErr
 	}
 	return scratch
 }

@@ -18,7 +18,9 @@ import (
 	"leed/internal/rpcproto"
 	"leed/internal/runtime"
 	"leed/internal/runtime/wallclock"
+	"leed/internal/server"
 	"leed/internal/sim"
+	"leed/internal/transport"
 )
 
 // The integration battery runs the real thing: it re-execs this test binary
@@ -139,18 +141,21 @@ func startProcCluster(t *testing.T, n int) (string, []*procChild) {
 	return mgrAddr, children
 }
 
-// awaitRunningView refreshes until the view shows n RUNNING members.
+// awaitRunningView refreshes until the view shows n RUNNING, synced members
+// and every node has applied that view. A write that meets a node still on
+// an older view fails as ambiguous rather than retrying, so the scripted
+// workloads start only once the view has settled everywhere.
 func awaitRunningView(p runtime.Task, cl *Client, n int, budget time.Duration) bool {
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
 		if err := cl.Refresh(p); err == nil {
 			v := cl.View()
-			if v != nil && len(v.States) == n {
+			if v != nil && len(v.States) == n && len(v.Unsynced) == 0 {
 				running := true
 				for _, st := range v.States {
 					running = running && st == cluster.StateRunning
 				}
-				if running {
+				if running && nodesOnEpoch(p, cl, v.Epoch) {
 					return true
 				}
 			}
@@ -158,6 +163,20 @@ func awaitRunningView(p runtime.Task, cl *Client, n int, budget time.Duration) b
 		p.Sleep(25 * runtime.Millisecond)
 	}
 	return false
+}
+
+// nodesOnEpoch probes every node the client knows with a GET at epoch: a
+// node answers with its own epoch whether it serves the read or NACKs it.
+func nodesOnEpoch(p runtime.Task, cl *Client, epoch uint64) bool {
+	for _, addr := range cl.addrs {
+		cl.nextID++
+		resp, err := cl.peer(addr).DoView(p, &rpcproto.Request{
+			ID: cl.nextID, Op: rpcproto.OpGet, Epoch: epoch, Key: []byte("epoch-probe")})
+		if err != nil || resp.Epoch != epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMultiProcessClusterIntegration is the battery's tentpole: manager + 3
@@ -521,6 +540,69 @@ func TestHandleRejectsSpoofedHop(t *testing.T) {
 		t.Error(f)
 	}
 	env.After(0, func() { n.eng.Stop() })
+	drained := make(chan struct{})
+	go func() { env.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// TestRelayedNackIsAmbiguous: a head that executed a write and then had the
+// forward NACKed by a downstream on an older epoch must not relay the NACK —
+// the client would read it as "never executed" while the head holds the
+// write — and answers StatusErr, the rule for any failed forward.
+func TestRelayedNackIsAmbiguous(t *testing.T) {
+	env := wallclock.New()
+	nodes := make(map[cluster.NodeID]*Node)
+	for id := cluster.NodeID(1); id <= 2; id++ {
+		n := newNode(NodeConfig{Env: env, ID: id, NumPart: 4, SSDs: 1, SSDCapacity: 8 << 20})
+		n.eng.Start()
+		ln, err := transport.ListenTCPOpts(env, "127.0.0.1:0", transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.ln = ln
+		n.srv = server.New(server.Config{Env: env, Engine: n.eng, Handler: n})
+		n.srv.Serve(ln)
+		nodes[id] = n
+	}
+	done := make(chan struct{})
+	var failures []string
+	env.Spawn("nack-driver", func(p runtime.Task) {
+		defer close(done)
+		states := map[cluster.NodeID]cluster.NodeState{1: cluster.StateRunning, 2: cluster.StateRunning}
+		v1, v2 := cluster.NewView(1, states, 2, 4, nil), cluster.NewView(2, states, 2, 4, nil)
+		// The head is on epoch 2; the downstream is still on epoch 1.
+		const key = "nack-key"
+		part := cluster.PartitionOf(core.HashKey([]byte(key)), 4)
+		chain := v2.Chain(part)
+		head, down := nodes[chain[0]], nodes[chain[1]]
+		head.applyView(v2)
+		head.addrs[down.cfg.ID] = down.ln.Addr()
+		down.applyView(v1)
+		req := &rpcproto.Request{ID: 1, Op: rpcproto.OpPut, Partition: part, Epoch: 2, Key: []byte(key), Value: []byte(key)}
+		resp := rpcproto.Response{ID: req.ID, Epoch: req.Epoch}
+		head.Handle(p, false, req, &resp, nil, nil)
+		got, _, err := head.eng.Execute(p, int(part), rpcproto.OpGet, []byte(key), nil)
+		if resp.Status != rpcproto.StatusErr {
+			failures = append(failures, fmt.Sprintf("head answered %v, want %v", resp.Status, rpcproto.StatusErr))
+		}
+		if err != nil || string(got) != key {
+			failures = append(failures, fmt.Sprintf("head does not hold the write: %q, %v", got, err))
+		}
+	})
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("nack driver did not finish")
+	}
+	for _, f := range failures {
+		t.Error(f)
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
 	drained := make(chan struct{})
 	go func() { env.Wait(); close(drained) }()
 	select {

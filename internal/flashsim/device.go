@@ -83,21 +83,21 @@ type SyncReader interface {
 type Stats struct {
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
-	ReadLat, WriteLat       *runtime.Histogram // submit-to-complete
-	QueueLat                *runtime.Histogram // submit-to-service-start (queue wait)
-	ServiceLat              *runtime.Histogram // service-start-to-complete
-	MaxQueue                int                // high-water mark of queued + in-flight ops
-	Flushes                 int64              // completed OpFlush barriers
-	Batches                 int64              // doorbell batches dispatched (submission-queue devices)
-	Coalesced               int64              // writes merged into a preceding write's syscall
+	ReadLat, WriteLat       *obs.Histogram // submit-to-complete
+	QueueLat                *obs.Histogram // submit-to-service-start (queue wait)
+	ServiceLat              *obs.Histogram // service-start-to-complete
+	MaxQueue                int            // high-water mark of queued + in-flight ops
+	Flushes                 int64          // completed OpFlush barriers
+	Batches                 int64          // doorbell batches dispatched (submission-queue devices)
+	Coalesced               int64          // writes merged into a preceding write's syscall
 }
 
 func newStats() devStats {
 	return devStats{Stats: Stats{
-		ReadLat:    runtime.NewHistogram(),
-		WriteLat:   runtime.NewHistogram(),
-		QueueLat:   runtime.NewHistogram(),
-		ServiceLat: runtime.NewHistogram(),
+		ReadLat:    obs.NewHistogram(),
+		WriteLat:   obs.NewHistogram(),
+		QueueLat:   obs.NewHistogram(),
+		ServiceLat: obs.NewHistogram(),
 	}}
 }
 

@@ -18,6 +18,8 @@
 // sleeping tasks in real time.
 package runtime
 
+import "leed/internal/obs"
+
 // Env is one runtime environment: a clock, a timer wheel, a spawner, and
 // constructors for the synchronization primitives the stack is built from.
 type Env interface {
@@ -57,7 +59,7 @@ type Env interface {
 	// MakeResource returns a counting semaphore with the given capacity.
 	MakeResource(capacity int64) Resource
 	// MakeHistogram returns an empty latency histogram.
-	MakeHistogram() *Histogram
+	MakeHistogram() *obs.Histogram
 }
 
 // Task is the execution context of one running task. Blocking store APIs

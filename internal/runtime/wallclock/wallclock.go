@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leed/internal/obs"
 	"leed/internal/runtime"
 )
 
@@ -386,7 +387,7 @@ func (e *Env) MakeResource(capacity int64) runtime.Resource {
 }
 
 // MakeHistogram implements runtime.Env.
-func (e *Env) MakeHistogram() *runtime.Histogram { return runtime.NewHistogram() }
+func (e *Env) MakeHistogram() *obs.Histogram { return obs.NewHistogram() }
 
 // task is one running goroutine. parked/woken/seq are guarded by env.mu;
 // the park channel (capacity 1) carries the wakeup token so a Wake landing

@@ -1,6 +1,9 @@
 package sim
 
-import "leed/internal/runtime"
+import (
+	"leed/internal/obs"
+	"leed/internal/runtime"
+)
 
 // The DES kernel is the deterministic implementation of the runtime seam:
 // Kernel is an Env, Proc is a Task, and the sim sync primitives are the
@@ -49,4 +52,4 @@ func (k *Kernel) MakeResource(capacity int64) runtime.Resource {
 }
 
 // MakeHistogram implements runtime.Env.
-func (k *Kernel) MakeHistogram() *runtime.Histogram { return NewHistogram() }
+func (k *Kernel) MakeHistogram() *obs.Histogram { return obs.NewHistogram() }

@@ -8,7 +8,7 @@
 //
 // The package also provides the synchronization primitives the rest of the
 // system is built from: one-shot multi-waiter Events, blocking FIFO Queues,
-// counting-semaphore Resources, and log-bucketed latency Histograms.
+// and counting-semaphore Resources.
 package sim
 
 import (

@@ -28,6 +28,7 @@ import (
 	"leed/internal/cluster"
 	"leed/internal/core"
 	"leed/internal/flashsim"
+	"leed/internal/obs"
 	"leed/internal/runtime"
 	"leed/internal/runtime/wallclock"
 	"leed/internal/sim"
@@ -54,7 +55,7 @@ type (
 	// depending on the backend).
 	Time = runtime.Time
 	// Histogram records latency distributions.
-	Histogram = runtime.Histogram
+	Histogram = obs.Histogram
 )
 
 // Time units.
@@ -116,7 +117,7 @@ func NewKernel() Kernel { return sim.New() }
 func NewWallClock() *WallClock { return wallclock.New() }
 
 // NewHistogram creates an empty latency histogram.
-func NewHistogram() *Histogram { return sim.NewHistogram() }
+func NewHistogram() *Histogram { return obs.NewHistogram() }
 
 // NewCluster assembles a LEED cluster on cfg.Env; call its Start method,
 // then (on the Kernel) pump Run while issuing operations from procs, or
