@@ -157,11 +157,11 @@ func (g *gate) run(p runtime.Task, cycles int64) runtime.Time {
 }
 
 // nodeObs is the node's registry binding: one counter per NodeStats field,
-// labeled by node, plus the tracer for "node" stage observations. It is
-// always constructed (a nil registry hands back working unregistered
-// counters), so call sites need no nil checks.
+// labeled by node, plus the bound "node" stage. It is always constructed (a
+// nil registry hands back working unregistered counters, a nil tracer a nil
+// bind that records nothing), so call sites need no nil checks.
 type nodeObs struct {
-	tr *obs.Tracer
+	node *obs.StageBind
 
 	gets, puts, dels *obs.Counter
 	shipped          *obs.Counter
@@ -183,7 +183,7 @@ func newNodeObs(reg *obs.Registry, tr *obs.Tracer, id NodeID) *nodeObs {
 	node := fmt.Sprintf("n%d", id)
 	c := func(name string) *obs.Counter { return reg.Counter(name, "node", node) }
 	return &nodeObs{
-		tr:             tr,
+		node:           tr.Bind("node"),
 		gets:           c("leed_node_gets_total"),
 		puts:           c("leed_node_puts_total"),
 		dels:           c("leed_node_dels_total"),
@@ -211,7 +211,7 @@ func (o *nodeObs) span(tr *obs.Trace, queue, service runtime.Time) {
 		tr.Span("node", queue, service)
 		return
 	}
-	o.tr.Observe("node", queue, service)
+	o.node.Observe(queue, service)
 }
 
 // NewNode creates a node. Call Start to launch its procs.

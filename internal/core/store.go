@@ -178,7 +178,12 @@ func (s *Store) SwapLog() *CircLog { return s.swapLog }
 func (s *Store) AddPeer(p *Store) { s.peers[p.cfg.DevID] = p }
 
 // cpu charges cycles to the executor and attributes elapsed time to st.CPU.
+// Under NopExec (pure-device mode) nothing is charged and the interval would
+// time nothing, so the call and its two clock reads are skipped.
 func (s *Store) cpu(p runtime.Task, st *OpStats, cycles int64) {
+	if _, nop := s.cfg.Exec.(NopExec); nop {
+		return
+	}
 	t0 := p.Now()
 	s.cfg.Exec.Compute(p, cycles)
 	st.CPU += p.Now() - t0

@@ -143,16 +143,19 @@ type Engine struct {
 	o     *engObs
 }
 
-// engObs is the engine's registry binding. Nil receiver methods no-op.
+// engObs is the engine's registry binding: counters plus the untraced
+// commands' engine/cpu/ssd stages, bound once. Nil receiver methods no-op.
 type engObs struct {
-	tr                             *obs.Tracer
+	engine, cpu, ssd               *obs.StageBind
 	executed, swapped, compactions *obs.Counter
 }
 
 func newEngObs(reg *obs.Registry, tr *obs.Tracer, node string) *engObs {
 	l := []string{"node", node}
 	return &engObs{
-		tr:          tr,
+		engine:      tr.Bind("engine"),
+		cpu:         tr.Bind("cpu"),
+		ssd:         tr.Bind("ssd"),
 		executed:    reg.Counter("leed_engine_executed_total", l...),
 		swapped:     reg.Counter("leed_engine_swapped_total", l...),
 		compactions: reg.Counter("leed_engine_compactions_total", l...),
@@ -192,9 +195,9 @@ func (e *Engine) observeExec(tr *obs.Trace, queue, service runtime.Time, st core
 		return
 	}
 	if e.o != nil {
-		e.o.tr.Observe("engine", queue, service)
-		e.o.tr.Observe("cpu", 0, st.CPU)
-		e.o.tr.Observe("ssd", 0, st.SSD)
+		e.o.engine.Observe(queue, service)
+		e.o.cpu.Observe(0, st.CPU)
+		e.o.ssd.Observe(0, st.SSD)
 	}
 }
 

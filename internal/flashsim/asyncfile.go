@@ -80,6 +80,7 @@ type AsyncFileDevice struct {
 	pending     []*Op         // ordered submission queue, FIFO
 	reads       []*Op         // read fast lane, FIFO among reads
 	inflight    []*asyncBatch // batches currently on workers
+	spare       []*asyncBatch // finished batches, recycled by dispatch
 	inflightOps int
 	workers     int
 	seq         int64 // submit-order stamp
@@ -90,11 +91,47 @@ type AsyncFileDevice struct {
 }
 
 // asyncBatch is one dispatch's worth of ops, executed sequentially by one
-// offload worker.
+// offload worker. Batches are recycled with their slices, merge buffer and
+// Offload callbacks, so a dispatch allocates nothing once the device has
+// run as many batches at once as it ever will.
 type asyncBatch struct {
 	ops    []*Op
 	errs   []error // per-op results, filled off-lock by the worker
 	merged int     // writes coalesced into a predecessor's syscall
+	buf    []byte  // coalesced-write scratch, used off-lock by the worker
+	run    func() any
+	finish func(any)
+}
+
+// getBatch returns an empty batch, recycled when one is spare.
+func (d *AsyncFileDevice) getBatch() *asyncBatch {
+	if n := len(d.spare); n > 0 {
+		b := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return b
+	}
+	b := &asyncBatch{}
+	b.run = func() any { d.runBatch(b); return nil }
+	b.finish = func(any) { d.finishBatch(b) }
+	return b
+}
+
+// putBatch recycles b, dropping its op references but keeping capacity.
+func (d *AsyncFileDevice) putBatch(b *asyncBatch) {
+	clear(b.ops)
+	b.ops = b.ops[:0]
+	clear(b.errs[:cap(b.errs)])
+	b.merged = 0
+	d.spare = append(d.spare, b)
+}
+
+// popFront drops the first n entries of q by shifting the rest down, so the
+// queue keeps its backing array and appends stop reallocating (reslicing
+// forward would walk the base off the array, as queue.Put's comment notes).
+func popFront(q []*Op, n int) []*Op {
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 // OpenAsyncFileDevice opens (or creates) the image file at path with the
@@ -192,11 +229,9 @@ func (d *AsyncFileDevice) dispatch() {
 		}
 		// Fast-lane reads first: they free the slot again quickly, so they
 		// cannot starve the ordered queue for long.
-		b := d.takeReadBatch(limit)
-		if b == nil {
-			b = d.takeBatch(limit)
-		}
-		if b == nil {
+		b := d.getBatch()
+		if !d.takeReadBatch(b, limit) && !d.takeBatch(b, limit) {
+			d.putBatch(b)
 			return
 		}
 		d.workers++
@@ -207,10 +242,7 @@ func (d *AsyncFileDevice) dispatch() {
 		for _, op := range b.ops {
 			op.started = started
 		}
-		d.env.Offload(
-			func() any { d.runBatch(b); return nil },
-			func(any) { d.finishBatch(b) },
-		)
+		d.env.Offload(b.run, b.finish)
 	}
 }
 
@@ -233,54 +265,43 @@ func (d *AsyncFileDevice) conflicts(op *Op) bool {
 	return false
 }
 
-// takeReadBatch carves up to limit reads off the fast lane. Formation stops
-// at a read whose range conflicts with an in-flight write.
-func (d *AsyncFileDevice) takeReadBatch(limit int) *asyncBatch {
-	var b asyncBatch
-	for len(d.reads) > 0 && len(b.ops) < limit {
-		op := d.reads[0]
-		if d.conflicts(op) {
+// takeReadBatch carves up to limit reads off the fast lane into the empty
+// batch b and reports whether it took any. Formation stops at a read whose
+// range conflicts with an in-flight write.
+func (d *AsyncFileDevice) takeReadBatch(b *asyncBatch, limit int) bool {
+	for _, op := range d.reads {
+		if len(b.ops) == limit || d.conflicts(op) {
 			break
 		}
 		b.ops = append(b.ops, op)
-		d.reads = d.reads[1:]
 	}
-	if len(b.ops) == 0 {
-		return nil
-	}
-	return &b
+	d.reads = popFront(d.reads, len(b.ops))
+	return len(b.ops) > 0
 }
 
 // takeBatch carves up to limit ops off the head of the ordered submission
-// queue, preserving FIFO order: formation stops at the first op that cannot
-// be dispatched yet (a barrier, a range conflict with an in-flight op, or a
-// write an earlier-submitted fast-lane read has yet to overtake).
-func (d *AsyncFileDevice) takeBatch(limit int) *asyncBatch {
-	if len(d.pending) == 0 {
-		return nil
-	}
-	if d.pending[0].Kind == OpFlush {
+// queue into the empty batch b, preserving FIFO order, and reports whether
+// it took any: formation stops at the first op that cannot be dispatched
+// yet (a barrier, a range conflict with an in-flight op, or a write an
+// earlier-submitted fast-lane read has yet to overtake).
+func (d *AsyncFileDevice) takeBatch(b *asyncBatch, limit int) bool {
+	if len(d.pending) > 0 && d.pending[0].Kind == OpFlush {
 		if d.workers > 0 {
-			return nil // barrier: drain in-flight batches first
+			return false // barrier: drain in-flight batches first
 		}
 		d.flushQueued--
-		b := &asyncBatch{ops: d.pending[:1:1]}
-		d.pending = d.pending[1:]
-		return b
+		b.ops = append(b.ops, d.pending[0])
+		d.pending = popFront(d.pending, 1)
+		return true
 	}
-	var b asyncBatch
-	for len(d.pending) > 0 && len(b.ops) < limit {
-		op := d.pending[0]
-		if op.Kind == OpFlush || d.conflicts(op) || d.overtaken(op) {
+	for _, op := range d.pending {
+		if len(b.ops) == limit || op.Kind == OpFlush || d.conflicts(op) || d.overtaken(op) {
 			break
 		}
 		b.ops = append(b.ops, op)
-		d.pending = d.pending[1:]
 	}
-	if len(b.ops) == 0 {
-		return nil
-	}
-	return &b
+	d.pending = popFront(d.pending, len(b.ops))
+	return len(b.ops) > 0
 }
 
 // overtaken reports whether an earlier-submitted read still queued in the
@@ -301,7 +322,10 @@ func (d *AsyncFileDevice) overtaken(op *Op) bool {
 // runBatch executes a batch's syscalls. It runs OFF the runtime lock (on an
 // offload worker) and touches only the batch, the op payloads, and the file.
 func (d *AsyncFileDevice) runBatch(b *asyncBatch) {
-	b.errs = make([]error, len(b.ops))
+	if cap(b.errs) < len(b.ops) {
+		b.errs = make([]error, len(b.ops))
+	}
+	b.errs = b.errs[:len(b.ops)]
 	for i := 0; i < len(b.ops); {
 		op := b.ops[i]
 		switch op.Kind {
@@ -318,11 +342,11 @@ func (d *AsyncFileDevice) runBatch(b *asyncBatch) {
 			}
 			var err error
 			if j > i+1 {
-				buf := make([]byte, 0, total)
+				b.buf = b.buf[:0]
 				for _, w := range b.ops[i:j] {
-					buf = append(buf, w.Data...)
+					b.buf = append(b.buf, w.Data...)
 				}
-				_, err = d.f.WriteAt(buf, op.Offset)
+				_, err = d.f.WriteAt(b.buf, op.Offset)
 				b.merged += j - i - 1
 			} else {
 				_, err = d.f.WriteAt(op.Data, op.Offset)
@@ -375,5 +399,6 @@ func (d *AsyncFileDevice) finishBatch(b *asyncBatch) {
 		d.stats.record(op.Kind, len(op.Data), op.started-op.submitted, now-op.started)
 		op.Done.Fire(nil)
 	}
+	d.putBatch(b)
 	d.dispatch()
 }

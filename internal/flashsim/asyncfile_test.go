@@ -260,3 +260,36 @@ func TestAsyncFileDeviceWallclockConcurrent(t *testing.T) {
 		t.Fatalf("stats lost ops: %+v", st)
 	}
 }
+
+// TestAsyncFileDeviceDispatchAllocs pins the dispatch path's allocations on
+// the wallclock backend: once warm, one write's submit→complete round
+// allocates only what the caller brings — the op and its completion event.
+// Batches, their Offload callbacks, the submission queues and the offload
+// job queue are all recycled.
+func TestAsyncFileDeviceDispatchAllocs(t *testing.T) {
+	env := wallclock.New()
+	d, err := OpenAsyncFileDevice(env, filepath.Join(t.TempDir(), "dev.img"), 1<<20, AsyncOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	data := make([]byte, 4096)
+	var got float64
+	env.Spawn("io", func(p runtime.Task) {
+		round := func() {
+			op := &Op{Kind: OpWrite, Offset: 8192, Data: data, Done: env.MakeEvent()}
+			d.Submit(op)
+			if v := p.Wait(op.Done); v != nil {
+				t.Errorf("write: %v", v)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			round()
+		}
+		got = testing.AllocsPerRun(300, round)
+	})
+	env.Wait()
+	if got > 2 {
+		t.Errorf("write round = %.1f allocs, want <= 2 (the op and its event)", got)
+	}
+}

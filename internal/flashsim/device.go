@@ -159,11 +159,11 @@ func (s *devStats) noteCoalesced(n int64) {
 }
 
 // devObs is a device's registry binding: counters and histograms named
-// leed_device_* with a dev label, plus "device"-stage trace observations.
-// All methods no-op on a nil receiver, so unobserved devices pay one nil
-// check per completion.
+// leed_device_* with a dev label, plus "device"-stage trace observations
+// through a stage bound once. All methods no-op on a nil receiver, so
+// unobserved devices pay one nil check per completion.
 type devObs struct {
-	tr                      *obs.Tracer
+	stage                   *obs.StageBind
 	reads, writes, flushes  *obs.Counter
 	batches, coalesced      *obs.Counter
 	bytesRead, bytesWritten *obs.Counter
@@ -175,7 +175,7 @@ type devObs struct {
 func newDevObs(reg *obs.Registry, tr *obs.Tracer, dev string) *devObs {
 	l := []string{"dev", dev}
 	return &devObs{
-		tr:           tr,
+		stage:        tr.Bind("device"),
 		reads:        reg.Counter("leed_device_reads_total", l...),
 		writes:       reg.Counter("leed_device_writes_total", l...),
 		flushes:      reg.Counter("leed_device_flushes_total", l...),
@@ -210,7 +210,7 @@ func (o *devObs) record(kind OpKind, bytes int, queue, service runtime.Time) {
 	}
 	o.queueLat.Record(queue)
 	o.svcLat.Record(service)
-	o.tr.Observe("device", queue, service)
+	o.stage.Observe(queue, service)
 }
 
 func (o *devObs) queueDepth(d int) {

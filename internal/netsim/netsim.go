@@ -74,7 +74,7 @@ type Fabric struct {
 // fabObs is the fabric's registry binding: fabric-wide traffic counters and
 // per-message "net" stage observations. Nil receiver methods no-op.
 type fabObs struct {
-	tr               *obs.Tracer
+	net              *obs.StageBind
 	txMsgs, rxMsgs   *obs.Counter
 	txBytes, rxBytes *obs.Counter
 	dropped          *obs.Counter
@@ -113,7 +113,7 @@ func (o *fabObs) span(m *Message, queue, service runtime.Time) {
 		return
 	}
 	if o != nil {
-		o.tr.Observe("net", queue, service)
+		o.net.Observe(queue, service)
 	}
 }
 
@@ -122,7 +122,7 @@ func (o *fabObs) span(m *Message, queue, service runtime.Time) {
 // contributes a "net" stage observation. Call before traffic starts.
 func (f *Fabric) Observe(reg *obs.Registry, tr *obs.Tracer) {
 	f.o = &fabObs{
-		tr:      tr,
+		net:     tr.Bind("net"),
 		txMsgs:  reg.Counter("leed_net_tx_msgs_total"),
 		rxMsgs:  reg.Counter("leed_net_rx_msgs_total"),
 		txBytes: reg.Counter("leed_net_tx_bytes_total"),

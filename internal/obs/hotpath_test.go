@@ -145,11 +145,16 @@ func TestTraceLifecycleAllocFree(t *testing.T) {
 }
 
 // TestStageBindObserve checks the pre-bound handle feeds the same
-// histograms Tracer.Observe does, and tolerates nil.
+// histograms Tracer.Observe does, creates them only on its first
+// observation (so binding leaves snapshots and the attribution table as
+// they were), and tolerates nil.
 func TestStageBindObserve(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 0, 0)
 	b := tr.Bind("node")
+	if n := len(reg.Snapshot().Hists); n != 0 || len(tr.Attribution().Stages) != 0 {
+		t.Fatalf("Bind created series before any observation: %d hists, table:\n%s", n, tr.Attribution())
+	}
 	b.Observe(5, 10)
 	tr.Observe("node", 7, 14)
 	if got := reg.Hist("leed_stage_queue_ns", "stage", "node").Count(); got != 2 {

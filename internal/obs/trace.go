@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Span is one stage of a request's journey through the stack, split into
@@ -173,21 +174,24 @@ func (t *Tracer) Observe(stage string, queue, service Time) {
 // StageBind is a pre-bound handle on one stage's aggregation histograms.
 // Tracer.Observe pays a mutex and a map lookup per call; a hot path binds
 // its stage once at setup and records through the handle for the cost of
-// two histogram records. Nil-safe, like every other instrument.
+// an atomic load and two histogram records. The histograms are resolved on
+// the first observation, not at Bind, so binding a stage that never fires
+// adds no series to the registry or row to the attribution table: a bound
+// stage shows up exactly when Tracer.Observe would have created it.
+// Nil-safe, like every other instrument.
 type StageBind struct {
-	queue, service *Hist
+	t     *Tracer
+	stage string
+	sh    atomic.Pointer[stageHists]
 }
 
-// Bind resolves (and pins) the stage's histograms. Returns nil on a nil
-// tracer, which Observe tolerates.
+// Bind returns a handle on the stage. Returns nil on a nil tracer, which
+// Observe tolerates.
 func (t *Tracer) Bind(stage string) *StageBind {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	sh := t.stage(stage)
-	t.mu.Unlock()
-	return &StageBind{queue: sh.queue, service: sh.service}
+	return &StageBind{t: t, stage: stage}
 }
 
 // Observe records one observation pair on the bound stage.
@@ -201,8 +205,17 @@ func (b *StageBind) Observe(queue, service Time) {
 	if service < 0 {
 		service = 0
 	}
-	b.queue.Record(queue)
-	b.service.Record(service)
+	sh := b.sh.Load()
+	if sh == nil {
+		// Racing first observers resolve the same pinned histograms.
+		b.t.mu.Lock()
+		h := b.t.stage(b.stage)
+		b.t.mu.Unlock()
+		sh = &h
+		b.sh.Store(sh)
+	}
+	sh.queue.Record(queue)
+	sh.service.Record(service)
 }
 
 // End finishes a trace: every span is aggregated into the per-stage

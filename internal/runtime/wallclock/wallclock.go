@@ -359,8 +359,12 @@ func (e *Env) offloadWorker() {
 			e.offcond.Wait()
 			e.offidle--
 		}
+		// Shift down rather than reslice forward, as queue.Put does, so
+		// Offload's append reuses the backing array.
 		job := e.offjobs[0]
-		e.offjobs = e.offjobs[1:]
+		n := copy(e.offjobs, e.offjobs[1:])
+		e.offjobs[n] = offloadJob{}
+		e.offjobs = e.offjobs[:n]
 		e.offmu.Unlock()
 
 		v := job.fn()

@@ -1,11 +1,13 @@
 package server_test
 
 import (
+	"fmt"
 	"testing"
 
 	"leed/internal/core"
 	"leed/internal/engine"
 	"leed/internal/flashsim"
+	"leed/internal/rpcproto"
 	"leed/internal/runtime"
 	"leed/internal/runtime/wallclock"
 	"leed/internal/server"
@@ -42,6 +44,21 @@ func TestServePutAllocBudget(t *testing.T) {
 	}
 }
 
+// TestServeMultiGetAllocBudget is the batch path's gate: an 8-key MultiGet
+// may allocate only the client's per-item value copies plus two. The
+// server side — routing, execution, response framing — allocates nothing,
+// which also pins that a MultiGet runs on the connection task: a per-batch
+// worker hand-off or Spawn would blow the budget.
+func TestServeMultiGetAllocBudget(t *testing.T) {
+	keys := make([][]byte, 8)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	if got, budget := servedAllocs(t, servedMultiGet(keys)), len(keys)+2; got > float64(budget) {
+		t.Errorf("served %d-key MultiGet = %.1f allocs/op, budget %d", len(keys), got, budget)
+	}
+}
+
 // servedAllocs returns op's steady-state allocations per call on the serve
 // rig.
 func servedAllocs(t *testing.T, op servedOp) float64 {
@@ -70,6 +87,21 @@ func servedPut() servedOp {
 	val := testVal(8)
 	return func(p runtime.Task, cl *server.Client, key []byte) error {
 		return cl.Put(p, key, val)
+	}
+}
+
+// servedMultiGet reads every key in one MultiGet into a reused result
+// slice, ignoring the rig's key, and checks each item is a hit.
+func servedMultiGet(keys [][]byte) servedOp {
+	var out []rpcproto.BatchRespItem
+	return func(p runtime.Task, cl *server.Client, _ []byte) (err error) {
+		out, err = cl.MultiGet(p, keys, out[:0])
+		for i := range out {
+			if out[i].Status != rpcproto.StatusOK {
+				return fmt.Errorf("MultiGet item %d: %v", i, out[i].Status)
+			}
+		}
+		return err
 	}
 }
 

@@ -58,11 +58,11 @@ type Client struct {
 	scratch rpcproto.Response // recv-loop decode scratch, moved into a call
 	err     error             // sticky; set when the connection dies
 
-	// tr, when set, attributes each call's pipeline-slot wait to the
-	// "client" stage and its wire round-trip to the "net" stage — the
-	// client-side half of the paper-style attribution table; the server
-	// owns node/engine/cpu/ssd/device.
-	tr *obs.Tracer
+	// clientSt and netSt, bound when the client is traced, attribute each
+	// call's pipeline-slot wait to the "client" stage and its wire round
+	// trip to the "net" stage — the client-side half of the paper-style
+	// attribution table; the server owns node/engine/cpu/ssd/device.
+	clientSt, netSt *obs.StageBind
 
 	// chainFwd frames single-op requests as FrameChainFwd peer traffic
 	// instead of FrameRequest. See SetChainFwd.
@@ -97,11 +97,12 @@ func NewClientTraced(env runtime.Env, conn transport.Conn, depth int64, tr *obs.
 		depth = 16
 	}
 	c := &Client{
-		tr:      tr,
-		env:     env,
-		conn:    conn,
-		pipe:    env.MakeResource(depth),
-		pending: make(map[uint64]*call),
+		clientSt: tr.Bind("client"),
+		netSt:    tr.Bind("net"),
+		env:      env,
+		conn:     conn,
+		pipe:     env.MakeResource(depth),
+		pending:  make(map[uint64]*call),
 	}
 	env.Spawn("client-recv", c.recvLoop)
 	return c
@@ -285,11 +286,21 @@ func (c *Client) await(t runtime.Task, cl *call) {
 	cl.tk = nil
 }
 
-// roundTrip runs one single-op request through admission, the wire, and
-// the park-based wait. On success the returned call holds the borrowed
+// observe attributes one call to the client's stages: the pipeline-slot
+// wait (t0 to sent) and the wire round trip (sent to now).
+func (c *Client) observe(t runtime.Task, t0, sent runtime.Time) {
+	if c.netSt != nil {
+		c.clientSt.Observe(sent-t0, 0)
+		c.netSt.Observe(0, t.Now()-sent)
+	}
+}
+
+// roundTrip runs one request through admission, the wire, and the
+// park-based wait: a single op on key/val, or — when keys is non-nil — a
+// batch frame of keys/vals. On success the returned call holds the borrowed
 // response; the caller consumes it and must release it. On error the call
 // has already been recycled.
-func (c *Client) roundTrip(t runtime.Task, op rpcproto.Op, key, val []byte) (*call, error) {
+func (c *Client) roundTrip(t runtime.Task, op rpcproto.Op, key, val []byte, keys, vals [][]byte) (*call, error) {
 	t0 := t.Now()
 	c.pipe.Acquire(t, 1)
 	defer c.pipe.Release(1)
@@ -299,19 +310,22 @@ func (c *Client) roundTrip(t runtime.Task, op rpcproto.Op, key, val []byte) (*ca
 	cl := c.getCall()
 	c.nextID++
 	cl.id = c.nextID
-	cl.req = rpcproto.Request{ID: cl.id, Op: op, Key: key, Value: val}
+	var frame []byte
+	if keys != nil {
+		frame = rpcproto.AppendBatchReqFrame(rpcproto.GetBuf(), cl.id, op, keys, vals)
+	} else {
+		cl.req = rpcproto.Request{ID: cl.id, Op: op, Key: key, Value: val}
+		frame = c.appendReqFrame(rpcproto.GetBuf(), &cl.req)
+	}
 	c.pending[cl.id] = cl
 	sent := t.Now()
-	if err := c.conn.Send(t, c.appendReqFrame(rpcproto.GetBuf(), &cl.req)); err != nil {
+	if err := c.conn.Send(t, frame); err != nil {
 		delete(c.pending, cl.id)
 		c.putCall(cl)
 		return nil, err
 	}
 	c.await(t, cl)
-	if c.tr != nil {
-		c.tr.Observe("client", sent-t0, 0)
-		c.tr.Observe("net", 0, t.Now()-sent)
-	}
+	c.observe(t, t0, sent)
 	if cl.err != nil {
 		err := cl.err
 		c.release(cl)
@@ -368,12 +382,7 @@ func (c *Client) DoDeadline(t runtime.Task, req *rpcproto.Request, d runtime.Tim
 		c.putCall(cl)
 		return nil, err
 	}
-	if c.tr != nil {
-		defer func() {
-			c.tr.Observe("client", sent-t0, 0)
-			c.tr.Observe("net", 0, t.Now()-sent)
-		}()
-	}
+	defer c.observe(t, t0, sent)
 	if timer != nil {
 		if runtime.WaitAny(t, cl.ev, timer) != 0 && !cl.ev.Fired() {
 			delete(c.pending, cl.id)
@@ -415,7 +424,7 @@ func (c *Client) Get(t runtime.Task, key []byte) ([]byte, error) {
 // sufficient capacity, the whole round trip allocates nothing. A missing
 // key is core.ErrNotFound.
 func (c *Client) GetInto(t runtime.Task, key, dst []byte) ([]byte, error) {
-	cl, err := c.roundTrip(t, rpcproto.OpGet, key, nil)
+	cl, err := c.roundTrip(t, rpcproto.OpGet, key, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +443,7 @@ func (c *Client) GetInto(t runtime.Task, key, dst []byte) ([]byte, error) {
 
 // Put stores key=val.
 func (c *Client) Put(t runtime.Task, key, val []byte) error {
-	cl, err := c.roundTrip(t, rpcproto.OpPut, key, val)
+	cl, err := c.roundTrip(t, rpcproto.OpPut, key, val, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -448,7 +457,7 @@ func (c *Client) Put(t runtime.Task, key, val []byte) error {
 
 // Del removes key. Deleting a missing key is core.ErrNotFound.
 func (c *Client) Del(t runtime.Task, key []byte) error {
-	cl, err := c.roundTrip(t, rpcproto.OpDel, key, nil)
+	cl, err := c.roundTrip(t, rpcproto.OpDel, key, nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -475,30 +484,8 @@ func (c *Client) doBatch(t runtime.Task, op rpcproto.Op, keys, vals [][]byte, ou
 	if len(keys) > rpcproto.MaxBatchItems {
 		return out, rpcproto.ErrBatchTooLarge
 	}
-	t0 := t.Now()
-	c.pipe.Acquire(t, 1)
-	defer c.pipe.Release(1)
-	if c.err != nil {
-		return out, c.err
-	}
-	cl := c.getCall()
-	c.nextID++
-	cl.id = c.nextID
-	c.pending[cl.id] = cl
-	sent := t.Now()
-	if err := c.conn.Send(t, rpcproto.AppendBatchReqFrame(rpcproto.GetBuf(), cl.id, op, keys, vals)); err != nil {
-		delete(c.pending, cl.id)
-		c.putCall(cl)
-		return out, err
-	}
-	c.await(t, cl)
-	if c.tr != nil {
-		c.tr.Observe("client", sent-t0, 0)
-		c.tr.Observe("net", 0, t.Now()-sent)
-	}
-	if cl.err != nil {
-		err := cl.err
-		c.release(cl)
+	cl, err := c.roundTrip(t, op, nil, nil, keys, vals)
+	if err != nil {
 		return out, err
 	}
 	for _, it := range cl.items {
@@ -515,9 +502,10 @@ func (c *Client) doBatch(t runtime.Task, op rpcproto.Op, keys, vals [][]byte, ou
 // MultiGet fetches many keys in one frame. The result has one item per
 // key, in key order: StatusOK items carry the value, StatusNotFound items
 // report a missing key. Pass a reused out slice to amortize the result
-// across calls. The server executes the batch across partitions in
-// parallel, so a MultiGet of n keys costs roughly one slow partition, not
-// n round trips.
+// across calls. The server reads the keys one after another on the
+// connection's task, so a MultiGet of n keys costs one round trip plus n
+// reads: a memcpy each on the inline read lane, the sum of n device reads
+// without it.
 func (c *Client) MultiGet(t runtime.Task, keys [][]byte, out []rpcproto.BatchRespItem) ([]rpcproto.BatchRespItem, error) {
 	return c.doBatch(t, rpcproto.OpGet, keys, nil, out)
 }
@@ -526,6 +514,12 @@ func (c *Client) MultiGet(t runtime.Task, keys [][]byte, out []rpcproto.BatchRes
 // keys[i]. The result has one item per key reporting that item's status.
 func (c *Client) MultiPut(t runtime.Task, keys, vals [][]byte, out []rpcproto.BatchRespItem) ([]rpcproto.BatchRespItem, error) {
 	return c.doBatch(t, rpcproto.OpPut, keys, vals, out)
+}
+
+// MultiDel removes many keys in one frame. The result has one item per key:
+// StatusOK for a removed key, StatusNotFound for a missing one.
+func (c *Client) MultiDel(t runtime.Task, keys [][]byte, out []rpcproto.BatchRespItem) ([]rpcproto.BatchRespItem, error) {
+	return c.doBatch(t, rpcproto.OpDel, keys, nil, out)
 }
 
 // Err reports the sticky connection error: nil while the connection is

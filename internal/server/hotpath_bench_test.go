@@ -12,6 +12,14 @@ func BenchmarkServeGet(b *testing.B) { benchServe(b, servedGet()) }
 
 func BenchmarkServePut(b *testing.B) { benchServe(b, servedPut()) }
 
+func BenchmarkServeMultiGet(b *testing.B) {
+	keys := make([][]byte, 8)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	benchServe(b, servedMultiGet(keys))
+}
+
 func benchServe(b *testing.B, op servedOp) {
 	serveRig(b, op, func(call func()) {
 		b.ReportAllocs()

@@ -117,60 +117,107 @@ func TestOverloadNack(t *testing.T) {
 
 // TestPanicIsolation: a request whose handler panics is answered with an
 // ErrorFrame and costs only its own connection — the server keeps serving
-// other connections, and the panic is counted.
+// other connections, and the panic is counted. A batch is one request: a
+// panic on any item, including one a write batch runs on a helper task,
+// answers the whole batch that way.
 func TestPanicIsolation(t *testing.T) {
-	k := sim.New()
-	defer k.Close()
-	eng := newTestEngine(k, false)
-	reg := obs.NewRegistry()
-	cfg := server.Config{Env: k, Engine: eng, Obs: reg}
-	server.SetTestHook(&cfg, func(req *rpcproto.Request) {
-		if string(req.Key) == "boom" {
-			panic("injected handler panic")
+	boom, survivor := []byte("boom"), []byte("survivor")
+	// otherParts returns one stored-key candidate per partition that does
+	// not own "boom", so a write batch led by them runs "boom" on a helper.
+	otherParts := func(srv *server.Server) [][]byte {
+		var keys [][]byte
+		for pid, ks := range keysPerPartition(srv, 1) {
+			if pid != srv.Route(boom) {
+				keys = append(keys, ks[0])
+			}
 		}
-	})
-	srv := server.New(cfg)
-	inp := transport.NewInproc(k, transport.InprocOptions{})
-	srv.Serve(inp)
+		return keys
+	}
+	vals := func(keys [][]byte) [][]byte {
+		vs := make([][]byte, len(keys))
+		for i := range vs {
+			vs[i] = testVal(i)
+		}
+		return vs
+	}
+	cases := []struct {
+		name  string
+		issue func(p runtime.Task, srv *server.Server, cl *server.Client) error
+	}{
+		{"put", func(p runtime.Task, _ *server.Server, cl *server.Client) error {
+			return cl.Put(p, boom, testVal(2))
+		}},
+		{"multiget", func(p runtime.Task, srv *server.Server, cl *server.Client) error {
+			_, err := cl.MultiGet(p, append(otherParts(srv), boom), nil)
+			return err
+		}},
+		{"multiput-helper", func(p runtime.Task, srv *server.Server, cl *server.Client) error {
+			keys := append(otherParts(srv), boom)
+			_, err := cl.MultiPut(p, keys, vals(keys), nil)
+			return err
+		}},
+		{"multiput-worker", func(p runtime.Task, srv *server.Server, cl *server.Client) error {
+			keys := append([][]byte{boom}, otherParts(srv)...)
+			_, err := cl.MultiPut(p, keys, vals(keys), nil)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			defer k.Close()
+			eng := newTestEngine(k, false)
+			reg := obs.NewRegistry()
+			cfg := server.Config{Env: k, Engine: eng, Obs: reg}
+			server.SetTestHook(&cfg, func(req *rpcproto.Request) {
+				if string(req.Key) == string(boom) {
+					panic("injected handler panic")
+				}
+			})
+			srv := server.New(cfg)
+			inp := transport.NewInproc(k, transport.InprocOptions{})
+			srv.Serve(inp)
 
-	checked := false
-	k.Go("client", func(p *sim.Proc) {
-		conn, err := inp.Dial(p)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		cl := server.NewClient(k, conn, 8)
-		if err := cl.Put(p, testKey(1), testVal(1)); err != nil {
-			t.Errorf("pre-panic put: %v", err)
-		}
-		err = cl.Put(p, []byte("boom"), testVal(2))
-		var ef *rpcproto.ErrorFrame
-		if !errors.As(err, &ef) || ef.Code != rpcproto.StatusErr ||
-			!strings.Contains(ef.Msg, "panic") {
-			t.Errorf("panicked request: want ErrorFrame(StatusErr, panic...), got %v", err)
-		}
-		// The poisoned connection is closed by the server; a fresh one works.
-		conn2, err := inp.Dial(p)
-		if err != nil {
-			t.Errorf("dial after panic: %v", err)
-			return
-		}
-		cl2 := server.NewClient(k, conn2, 8)
-		if v, err := cl2.Get(p, testKey(1)); err != nil || string(v) != string(testVal(1)) {
-			t.Errorf("server state after panic: v=%q err=%v", v, err)
-		}
-		if got := reg.Counter("leed_server_panics_total").Load(); got != 1 {
-			t.Errorf("leed_server_panics_total = %d, want 1", got)
-		}
-		checked = true
-		cl.Close()
-		cl2.Close()
-		srv.Close()
-	})
-	k.Run()
-	if !checked {
-		t.Fatal("client never ran")
+			checked := false
+			k.Go("client", func(p *sim.Proc) {
+				conn, err := inp.Dial(p)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				cl := server.NewClient(k, conn, 8)
+				if err := cl.Put(p, survivor, testVal(1)); err != nil {
+					t.Errorf("pre-panic put: %v", err)
+				}
+				err = tc.issue(p, srv, cl)
+				var ef *rpcproto.ErrorFrame
+				if !errors.As(err, &ef) || ef.Code != rpcproto.StatusErr ||
+					!strings.Contains(ef.Msg, "panic") {
+					t.Errorf("panicked request: want ErrorFrame(StatusErr, panic...), got %v", err)
+				}
+				// The poisoned connection is closed by the server; a fresh one works.
+				conn2, err := inp.Dial(p)
+				if err != nil {
+					t.Errorf("dial after panic: %v", err)
+					return
+				}
+				cl2 := server.NewClient(k, conn2, 8)
+				if v, err := cl2.Get(p, survivor); err != nil || string(v) != string(testVal(1)) {
+					t.Errorf("server state after panic: v=%q err=%v", v, err)
+				}
+				if got := reg.Counter("leed_server_panics_total").Load(); got != 1 {
+					t.Errorf("leed_server_panics_total = %d, want 1", got)
+				}
+				checked = true
+				cl.Close()
+				cl2.Close()
+				srv.Close()
+			})
+			k.Run()
+			if !checked {
+				t.Fatal("client never ran")
+			}
+		})
 	}
 }
 

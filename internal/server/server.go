@@ -13,19 +13,21 @@
 // executed, and answered with a response frame carrying the partition's
 // remaining tokens (§3.5's piggybacked flow control). A connection runs to
 // completion on its own task, which reads the socket, admits each request
-// and executes single-op GETs itself, with no hand-off (§3.4); over TCP its
-// responses leave in one coalesced write when the runtime goes quiet.
+// and executes GETs and MultiGets itself, with no hand-off (§3.4); over TCP
+// its responses leave in one coalesced write when the runtime goes quiet.
 // Requests that may block on the write path — PUT, DEL, chain forwards and
-// batches — go to a per-connection worker pool (grown lazily up to the
-// pipeline window), so requests on one connection still pipeline:
+// write batches — go to a per-connection worker pool (grown lazily up to
+// the pipeline window), so requests on one connection still pipeline:
 // responses return in completion order and the client matches them by ID.
 // The steady-state path recycles everything — frames, request state,
 // response buffers — so serving allocates nothing (see DESIGN.md §13).
 //
-// Batch frames (FrameBatchReq) carry a MultiGet/MultiPut: the server splits
-// the items by owning partition, executes the sub-batches in parallel
-// across partitions (sequentially within one), and answers with a single
-// FrameBatchResp in the request's item order.
+// Batch frames (FrameBatchReq) carry a MultiGet/MultiPut/MultiDel, answered
+// with one FrameBatchResp in item order. A MultiGet runs inline on the
+// connection task like a GET, item by item; a write batch goes to a worker,
+// which runs one partition's items itself and one helper task per further
+// partition, so writes to different partitions overlap. The batch path
+// allocates nothing but those helpers (DESIGN.md §13).
 //
 // Shutdown is a graceful drain: new connections are refused, requests
 // already in flight complete and their responses flush, late requests on
@@ -96,8 +98,8 @@ type Config struct {
 	SamplePeriod runtime.Time
 
 	// testHook, when set (tests only — unexported, so only this package can
-	// install it), runs at the top of every handled request; a hook that
-	// panics exercises the handler's panic isolation.
+	// install it), runs at the top of every handled request and batch item;
+	// a hook that panics exercises the handler's panic isolation.
 	testHook func(*rpcproto.Request)
 }
 
@@ -159,20 +161,24 @@ type workerStop struct{}
 type reqWork struct {
 	frame      []byte
 	arrived    runtime.Time
-	dispatched runtime.Time      // execution start; == arrived for an inline GET
+	dispatched runtime.Time      // execution start; == arrived for an inline read
 	fwd        bool              // frame kind was FrameChainFwd (peer traffic)
-	req        rpcproto.Request  // borrow-decoded; Key/Value alias frame
+	req        rpcproto.Request  // borrow-decoded (Key/Value alias frame); a batch's ID and Op
 	resp       rpcproto.Response // response scratch
 	val        []byte            // GET value scratch, reused across requests
 
 	// Batch request state (kind FrameBatchReq).
 	batch    bool
-	batchID  uint64
-	batchOp  rpcproto.Op
 	items    []rpcproto.BatchItem // alias frame
-	resps    []rpcproto.BatchRespItem
 	statuses []rpcproto.Status
-	vals     [][]byte
+	vals     [][]byte // per-item read buffers; an empty one marshals no bytes
+	// Write batches: item indexes per partition, partitions in first-seen
+	// order, running helpers, the waiting worker's ticket, a helper's panic.
+	perPart  [][]int
+	used     []int
+	helpers  int
+	tk       runtime.Ticket
+	panicked any
 }
 
 // serverConn is the server side of one accepted connection.
@@ -211,15 +217,17 @@ func (sc *serverConn) putWork(w *reqWork) {
 	w.resp = rpcproto.Response{Spans: w.resp.Spans[:0]}
 	w.batch = false
 	w.items = w.items[:0]
-	for i := range w.resps {
-		w.resps[i] = rpcproto.BatchRespItem{}
-	}
 	// w.vals entries are the work item's own per-slot read buffers (never
 	// aliases into a borrowed frame), kept so their capacity survives into
 	// the next batch.
 	for i := range w.vals {
 		w.vals[i] = w.vals[i][:0]
 	}
+	for _, pid := range w.used {
+		w.perPart[pid] = w.perPart[pid][:0]
+	}
+	w.used = w.used[:0]
+	w.panicked = nil
 	if len(sc.free) < 64 {
 		sc.free = append(sc.free, w)
 	}
@@ -396,8 +404,8 @@ func (s *Server) startConn(t runtime.Task, c transport.Conn) {
 }
 
 // serveConn is one connection's task: read, decode, admit, then execute a
-// single-op GET right here or enqueue anything else for the connection's
-// workers. An inline GET occupies the reader while it runs, which is what
+// GET or MultiGet right here or enqueue anything else for the connection's
+// workers. An inline read occupies the reader while it runs, which is what
 // run to completion means: on the mmap read lane it never parks, and the
 // next frame is usually already in the transport's buffer.
 func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
@@ -426,29 +434,19 @@ func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 		w.frame = frame
 		w.arrived = arrived
 		w.fwd = kind == rpcproto.FrameChainFwd
-		var reqID uint64
-		if kind == rpcproto.FrameBatchReq {
-			id, op, items, derr := rpcproto.DecodeBatchReq(payload, w.items[:0])
-			if derr != nil {
-				rpcproto.PutBuf(frame)
-				w.frame = nil
-				sc.putWork(w)
-				s.o.badFrame.Inc()
-				s.sendError(t, sc, &rpcproto.ErrorFrame{Code: rpcproto.StatusErr, Msg: "undecodable batch"})
-				break
-			}
-			w.batch, w.batchID, w.batchOp, w.items = true, id, op, items
-			reqID = id
+		var derr error
+		if w.batch = kind == rpcproto.FrameBatchReq; w.batch {
+			w.req.ID, w.req.Op, w.items, derr = rpcproto.DecodeBatchReq(payload, w.items[:0])
 		} else {
-			if _, derr := w.req.DecodeBorrow(payload); derr != nil {
-				rpcproto.PutBuf(frame)
-				w.frame = nil
-				sc.putWork(w)
-				s.o.badFrame.Inc()
-				s.sendError(t, sc, &rpcproto.ErrorFrame{Code: rpcproto.StatusErr, Msg: "undecodable request"})
-				break
-			}
-			reqID = w.req.ID
+			_, derr = w.req.DecodeBorrow(payload)
+		}
+		if derr != nil {
+			rpcproto.PutBuf(frame)
+			w.frame = nil
+			sc.putWork(w)
+			s.o.badFrame.Inc()
+			s.sendError(t, sc, &rpcproto.ErrorFrame{Code: rpcproto.StatusErr, Msg: "undecodable request"})
+			break
 		}
 		// Pipeline admission: block the reader (and thus the stream) while
 		// the connection's window is full.
@@ -458,7 +456,7 @@ func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 			// began; this one arrived after. Refuse it explicitly.
 			sc.pipe.Release(1)
 			s.o.refused.Inc()
-			s.sendError(t, sc, &rpcproto.ErrorFrame{ID: reqID, Code: rpcproto.StatusNack, Msg: "server draining"})
+			s.sendError(t, sc, &rpcproto.ErrorFrame{ID: w.req.ID, Code: rpcproto.StatusNack, Msg: "server draining"})
 			rpcproto.PutBuf(w.frame)
 			sc.putWork(w)
 			continue
@@ -475,7 +473,7 @@ func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 				shedKey = w.items[0].Key
 			}
 			sc.conn.Send(t, rpcproto.AppendOverloadFrame(rpcproto.GetBuf(), &rpcproto.OverloadFrame{
-				ID:           reqID,
+				ID:           w.req.ID,
 				Tokens:       int32(s.handles[s.route(shedKey)].AvailableTokens()),
 				RetryAfterNS: int64(s.cfg.OverloadRetryHint),
 			}))
@@ -486,7 +484,7 @@ func (s *Server) serveConn(t runtime.Task, sc *serverConn) {
 		sc.inflight++
 		s.inflightTotal++
 		s.o.inflight.Add(1)
-		if kind == rpcproto.FrameRequest && w.req.Op == rpcproto.OpGet {
+		if !w.fwd && w.req.Op == rpcproto.OpGet { // a GET or a MultiGet
 			w.dispatched = arrived
 			s.process(t, sc, w)
 			continue
@@ -546,12 +544,8 @@ func (s *Server) process(t runtime.Task, sc *serverConn, w *reqWork) {
 			// as ambiguous (no blind PUT retry) and hang up — per-conn state
 			// is no longer trusted.
 			s.o.panics.Inc()
-			id := w.req.ID
-			if w.batch {
-				id = w.batchID
-			}
 			s.sendError(t, sc,
-				&rpcproto.ErrorFrame{ID: id, Code: rpcproto.StatusErr,
+				&rpcproto.ErrorFrame{ID: w.req.ID, Code: rpcproto.StatusErr,
 					Msg: fmt.Sprintf("panic in handler: %v", r)})
 			s.closeConn(sc)
 		}
@@ -673,97 +667,108 @@ func appendPiggySpans(resp *rpcproto.Response, req *rpcproto.Request, tr *obs.Tr
 	})
 }
 
-// handleBatch executes one MultiGet/MultiPut/MultiDel: items grouped by
-// owning partition, sub-batches in parallel across partitions (sequential
-// within one — they share a segment table and device queue anyway), one
-// FrameBatchResp in item order. The batch path tolerates per-batch
-// allocations: its throughput win comes from framing and syscall
-// amortization, and the allocs/op budget is pinned on the single-op path.
+// handleBatch executes one MultiGet/MultiPut/MultiDel and answers with one
+// FrameBatchResp in item order. A MultiGet runs item by item on this task.
+// A write batch runs its first partition's items here and each further
+// partition's on a helper task, sequential within a partition; a helper's
+// panic is re-raised here once no helper still uses w, so process answers
+// the batch with an ErrorFrame as for a single request.
 func (s *Server) handleBatch(t runtime.Task, sc *serverConn, w *reqWork) {
-	arrived := w.arrived
 	n := len(w.items)
-	if cap(w.resps) < n {
-		w.resps = make([]rpcproto.BatchRespItem, n)
-	}
-	resps := w.resps[:n]
-	for i := range resps {
-		resps[i] = rpcproto.BatchRespItem{}
-	}
-	if cap(w.vals) < n {
-		grown := make([][]byte, n)
-		copy(grown, w.vals[:cap(w.vals)])
-		w.vals = grown
-	}
-	vals := w.vals[:n]
-
-	switch w.batchOp {
-	case rpcproto.OpGet, rpcproto.OpPut, rpcproto.OpDel:
-		perPart := make([][]int, len(s.handles))
-		used := make([]int, 0, len(s.handles))
-		for i := range w.items {
-			pid := s.route(w.items[i].Key)
-			if len(perPart[pid]) == 0 {
-				used = append(used, pid)
-			}
-			perPart[pid] = append(perPart[pid], i)
-		}
-		done := s.env.MakeEvent()
-		pending := len(used)
-		for _, pid := range used {
-			pid := pid
-			idxs := perPart[pid]
-			s.env.Spawn("server-batch", func(q runtime.Task) {
-				for _, i := range idxs {
-					it := w.items[i]
-					// Into variant: reads land in the work item's per-slot
-					// buffer (grown capacity survives across batches), and
-					// take the device's inline mmap lane when it is open —
-					// the syscall amortization the batch frame exists for.
-					val, _, err := s.handles[pid].ExecuteTracedInto(q, w.batchOp, it.Key, it.Value, vals[i][:0], nil)
-					if val != nil {
-						vals[i] = val
-					}
-					switch {
-					case err == core.ErrNotFound:
-						resps[i].Status = rpcproto.StatusNotFound
-					case err != nil:
-						s.o.errors.Inc()
-						resps[i].Status = rpcproto.StatusErr
-					default:
-						resps[i].Status = rpcproto.StatusOK
-						resps[i].Value = val
-					}
-					s.o.reqInc(w.batchOp)
-				}
-				pending--
-				if pending == 0 {
-					done.Fire(nil)
-				}
-			})
-		}
-		if pending == 0 {
-			done.Fire(nil) // empty batch
-		}
-		t.Wait(done)
-	default:
-		s.o.errors.Inc()
-		for i := range resps {
-			resps[i].Status = rpcproto.StatusErr
-		}
-	}
-
 	if cap(w.statuses) < n {
 		w.statuses = make([]rpcproto.Status, n)
 	}
-	sts := w.statuses[:n]
-	for i := range resps {
-		sts[i] = resps[i].Status
-		// Marshal from resps[i].Value, not vals[i]: a failed item must
-		// contribute no bytes even though its slot buffer holds old data.
-		vals[i] = resps[i].Value
+	for len(w.vals) < n {
+		w.vals = append(w.vals, nil)
 	}
-	sc.conn.Send(t, rpcproto.AppendBatchRespFrame(rpcproto.GetBuf(), w.batchID, sts, vals))
-	sc.lat.Record(t.Now() - arrived)
+	sts, vals := w.statuses[:n], w.vals[:n]
+
+	switch w.req.Op {
+	case rpcproto.OpGet:
+		for i := range w.items {
+			s.execItem(t, w, s.route(w.items[i].Key), i)
+		}
+	case rpcproto.OpPut, rpcproto.OpDel:
+		if len(w.perPart) < len(s.handles) {
+			w.perPart = make([][]int, len(s.handles))
+		}
+		for i := range w.items {
+			pid := s.route(w.items[i].Key)
+			if len(w.perPart[pid]) == 0 {
+				w.used = append(w.used, pid)
+			}
+			w.perPart[pid] = append(w.perPart[pid], i)
+		}
+		if len(w.used) == 0 {
+			break // empty batch
+		}
+		w.helpers = len(w.used) - 1
+		for _, pid := range w.used[1:] {
+			s.env.Spawn("server-batch", func(q runtime.Task) {
+				s.execPart(q, w, pid)
+				if w.helpers--; w.helpers == 0 && w.tk != nil {
+					w.tk.Wake()
+				}
+			})
+		}
+		s.execPart(t, w, w.used[0])
+		for w.helpers > 0 {
+			w.tk = t.Prepare()
+			t.Park()
+		}
+		w.tk = nil
+		if w.panicked != nil {
+			panic(w.panicked)
+		}
+	default:
+		s.o.errors.Inc()
+		for i := range sts {
+			sts[i] = rpcproto.StatusErr
+		}
+	}
+	sc.conn.Send(t, rpcproto.AppendBatchRespFrame(rpcproto.GetBuf(), w.req.ID, sts, vals))
+	sc.lat.Record(t.Now() - w.arrived)
+}
+
+// execPart runs partition pid's items of a write batch. A panic marks them
+// all StatusErr and is kept for handleBatch: a helper task has no recover
+// above it, so letting the panic through would kill the process.
+func (s *Server) execPart(t runtime.Task, w *reqWork, pid int) {
+	defer func() {
+		if r := recover(); r != nil {
+			for _, i := range w.perPart[pid] {
+				w.statuses[i] = rpcproto.StatusErr
+			}
+			w.panicked = r
+		}
+	}()
+	for _, i := range w.perPart[pid] {
+		s.execItem(t, w, pid, i)
+	}
+}
+
+// execItem executes batch item i on partition pid. A read lands in the
+// item's buffer (empty on entry) and takes the device's inline mmap lane
+// when open.
+func (s *Server) execItem(t runtime.Task, w *reqWork, pid, i int) {
+	it := &w.items[i]
+	if s.cfg.testHook != nil {
+		s.cfg.testHook(&rpcproto.Request{Op: w.req.Op, Key: it.Key, Value: it.Value})
+	}
+	val, _, err := s.handles[pid].ExecuteTracedInto(t, w.req.Op, it.Key, it.Value, w.vals[i], nil)
+	switch {
+	case err == core.ErrNotFound:
+		w.statuses[i] = rpcproto.StatusNotFound
+	case err != nil:
+		s.o.errors.Inc()
+		w.statuses[i] = rpcproto.StatusErr
+	default:
+		w.statuses[i] = rpcproto.StatusOK
+		if val != nil {
+			w.vals[i] = val
+		}
+	}
+	s.o.reqInc(w.req.Op)
 }
 
 // sendError reports a request-level failure as an ErrorFrame.
