@@ -47,7 +47,7 @@ func chaosCmd(image string, capacity int64, partitions int, device string, durab
 	// One registry across the drills: the endpoint (and the final snapshot)
 	// accumulates the whole run.
 	reg := obs.NewRegistry()
-	msrv, err := startMetrics(metricsAddr, reg, nil)
+	msrv, err := obs.ServeMetrics(metricsAddr, reg.Raw, nil)
 	if err != nil {
 		return err
 	}

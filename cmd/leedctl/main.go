@@ -76,7 +76,7 @@ func main() {
 	device := flag.String("device", "async", "device path for serve and the kill/soak drills: sync (FileDevice) or async (submission-queue AsyncFileDevice)")
 	durable := flag.Bool("durable", false, "serve and the kill/soak drills: open the image O_DSYNC so every write completes at real device latency")
 	scenario := flag.String("scenario", "all", "chaos: comma-separated drill scenarios, or all (see usage)")
-	metricsAddr := flag.String("metrics-addr", "", "serve/chaos: HTTP address exposing /metrics (Prometheus text), /metrics.json, and /traces while the command runs (e.g. :9100)")
+	metricsAddr := flag.String("metrics-addr", "", "serve/chaos: HTTP address exposing /metrics (Prometheus text), /metrics.json, /metrics.raw.json, /attribution and /traces while the command runs (e.g. :9100)")
 	listen := flag.String("listen", "", "serve: TCP address to serve rpcproto clients on (e.g. :7070); the process runs until SIGINT/SIGTERM, then drains")
 	partitions := flag.Int("partitions", 4, "serve -listen: engine partitions carved out of the image")
 	flag.Usage = usage
@@ -250,17 +250,17 @@ func usage() {
     leedctl manager [-listen ADDR] [-r N] [-numpart N] [-hb-timeout D]
             [-metrics-addr ADDR] [-metrics-poll D]     control plane: membership, failure
                                                        detection, CRRS chain views; its
-                                                       /metrics is the fleet-aggregated view
-                                                       (members scraped via heartbeat-
-                                                       advertised addresses), /attribution
-                                                       the cross-process latency table
+                                                       metrics pages are the fleet-merged
+                                                       view (members scraped via heartbeat-
+                                                       advertised addresses)
     leedctl node -id N -manager ADDR [-listen ADDR] [-advertise ADDR]
             [-numpart N] [-ssds N] [-capacity N] [-hb-interval D] [-metrics-addr ADDR]
                                                        one JBOF: engine + RPC + heartbeats;
                                                        joins the cluster on its first beat
 
-  -metrics-addr ADDR serves /metrics, /metrics.json, /traces, and /debug/pprof
-  during any wall-clock command.
+  -metrics-addr ADDR serves /metrics, /metrics.json, /metrics.raw.json,
+  /attribution, /traces and /debug/pprof during any wall-clock command and
+  on every cluster role.
 
   Throughput, latency and requests/Joule are measured by the benchmark:
   bash benchmark/run.sh --workload store-a|tcp-single-b|tcp-batch32-b|chain3-a
@@ -314,21 +314,6 @@ func printSnapshot(reg *obs.Registry) {
 	fmt.Print(snap)
 }
 
-// startMetrics serves /metrics, /metrics.json, and /traces on addr for the
-// duration of the command. A blank addr is a no-op; Close on the returned
-// server is nil-safe.
-func startMetrics(addr string, reg *obs.Registry, tr *obs.Tracer) (*obs.Server, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	srv, err := obs.ServeMetrics(addr, reg, tr)
-	if err != nil {
-		return nil, fmt.Errorf("metrics endpoint: %w", err)
-	}
-	fmt.Printf("metrics on http://%s/metrics\n", srv.Addr)
-	return srv, nil
-}
-
 // serve runs the store on the wall-clock backend: N client goroutines issue
 // a mixed PUT/GET/DEL stream against the image concurrently, then the store
 // is flushed so a later invocation (any command) recovers the result.
@@ -350,7 +335,7 @@ func serve(image string, capacity int64, clients int, device string, durable boo
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 16, 256)
 	flashsim.Observe(dev, reg, tr, device)
-	srv, err := startMetrics(metricsAddr, reg, tr)
+	srv, err := obs.ServeMetrics(metricsAddr, reg.Raw, tr)
 	if err != nil {
 		return err
 	}
@@ -457,7 +442,7 @@ func serveListen(image string, capacity int64, listen string, partitions int, de
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 16, 256)
 	flashsim.Observe(dev, reg, tr, device)
-	msrv, err := startMetrics(metricsAddr, reg, tr)
+	msrv, err := obs.ServeMetrics(metricsAddr, reg.Raw, tr)
 	if err != nil {
 		return err
 	}

@@ -182,7 +182,7 @@ func dropEngaged(t *testing.T, r *Report, reg *obs.Registry) {
 		t.Error("drop drill killed no connections; the fault never engaged")
 	}
 	var page bytes.Buffer
-	reg.WritePrometheus(&page)
+	reg.Raw().WritePrometheus(&page)
 	var requests int64
 	sc := bufio.NewScanner(bytes.NewReader(page.Bytes()))
 	for sc.Scan() {

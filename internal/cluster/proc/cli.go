@@ -1,10 +1,8 @@
 package proc
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -83,10 +81,7 @@ func managerMain(args []string) error {
 	env := wallclock.New()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, traceSampleEvery, 256)
-	var fleet *obs.Fleet
-	if *metricsAddr != "" {
-		fleet = obs.NewFleet(reg)
-	}
+	fleet := obs.NewFleet(reg)
 	pm := power.NewProcessMeter(reg, power.ProcessConfig{})
 	defer pm.Close()
 	m, err := StartManager(ManagerConfig{
@@ -103,37 +98,14 @@ func managerMain(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *metricsAddr != "" {
-		// The manager's metrics page is the cluster-wide one: /metrics and
-		// friends serve the fleet-merged registry (counters summed,
-		// histograms merged, gauges instance-labeled), /attribution the
-		// cross-process latency table. The default mux (pprof, /traces)
-		// rides along unchanged.
-		msrv, err := obs.ServeMetricsWith(*metricsAddr, reg, tr, map[string]http.HandlerFunc{
-			"/metrics": func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-				fleet.Merged().WritePrometheus(w)
-			},
-			"/metrics.json": func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				_ = fleet.Merged().Snapshot().WriteJSON(w)
-			},
-			"/metrics.raw.json": func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				_ = json.NewEncoder(w).Encode(fleet.Merged().Raw())
-			},
-			"/attribution": func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(fleet.Attribution())
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
+	// The manager's metrics page is the cluster-wide one: the same routes
+	// every node serves, rendered from the fleet merge (counters summed,
+	// histograms merged, gauges instance-labeled).
+	msrv, err := obs.ServeMetrics(*metricsAddr, fleet.Raw, tr)
+	if err != nil {
+		return err
 	}
+	defer msrv.Close()
 	fmt.Printf("leed manager listening on %s\n", m.Addr())
 	awaitSignal()
 	fmt.Println("draining...")
@@ -165,22 +137,18 @@ func nodeMain(args []string) error {
 	// The metrics server comes up before the node so its bound address (the
 	// caller may have passed :0) can ride the node's heartbeats — that is
 	// how the manager's fleet aggregator discovers scrape targets.
-	var scrapeAddr string
-	if *metricsAddr != "" {
-		msrv, err := obs.ServeMetrics(*metricsAddr, reg, tr)
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		scrapeAddr = msrv.Addr
+	msrv, err := obs.ServeMetrics(*metricsAddr, reg.Raw, tr)
+	if err != nil {
+		return err
 	}
+	defer msrv.Close()
 	n, err := StartNode(NodeConfig{
 		Env:         env,
 		ID:          cluster.NodeID(*id),
 		Listen:      *listen,
 		Advertise:   *advertise,
 		Manager:     *manager,
-		MetricsAddr: scrapeAddr,
+		MetricsAddr: msrv.Addr(),
 		NumPart:     *numpart,
 		SSDs:        *ssds,
 		SSDCapacity: *capacity,

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,26 +15,28 @@ import (
 )
 
 // startObsProcCluster spawns a manager (aggregating) and n nodes, every
-// process exporting metrics, and returns the manager heartbeat address, its
-// metrics address, and the children (manager first).
-func startObsProcCluster(t *testing.T, n int) (string, string, []*procChild) {
+// process exporting metrics, and returns the manager heartbeat address, the
+// metrics addresses (manager first, then node 1..n), and the children
+// (manager first).
+func startObsProcCluster(t *testing.T, n int) (string, []string, []*procChild) {
 	t.Helper()
 	mgrAddr := freeTestAddr(t)
-	mgrMetrics := freeTestAddr(t)
+	metrics := []string{freeTestAddr(t)}
 	children := []*procChild{spawnProc(t, "manager",
 		[]string{"manager", "-listen", mgrAddr, "-hb-timeout", "600ms",
-			"-metrics-addr", mgrMetrics, "-metrics-poll", "100ms"})}
+			"-metrics-addr", metrics[0], "-metrics-poll", "100ms"})}
 	awaitTCP(t, mgrAddr, 15*time.Second)
 	for i := 1; i <= n; i++ {
+		metrics = append(metrics, freeTestAddr(t))
 		children = append(children, spawnProc(t, fmt.Sprintf("node %d", i),
 			[]string{"node",
 				"-id", fmt.Sprint(i),
 				"-listen", freeTestAddr(t),
 				"-manager", mgrAddr,
 				"-hb-interval", "25ms",
-				"-metrics-addr", freeTestAddr(t)}))
+				"-metrics-addr", metrics[i]}))
 	}
-	return mgrAddr, mgrMetrics, children
+	return mgrAddr, metrics, children
 }
 
 // httpGet fetches a URL body with a short timeout ("" on any failure).
@@ -65,7 +68,8 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process observability integration skipped in -short mode")
 	}
-	mgrAddr, mgrMetrics, children := startObsProcCluster(t, 3)
+	mgrAddr, metrics, children := startObsProcCluster(t, 3)
+	mgrMetrics := metrics[0]
 
 	env := wallclock.New()
 	reg := obs.NewRegistry()
@@ -170,15 +174,45 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Error("aggregated leed_power_millijoules_total never rose above zero")
 	}
 	// The cluster-wide attribution table is served too, fed by the members'
-	// own stage histograms (every node traces what it handles).
-	attrPage := httpGet("http://" + mgrMetrics + "/attribution")
-	if !strings.Contains(attrPage, `"node"`) || !strings.Contains(attrPage, `"engine"`) {
-		t.Errorf("manager /attribution missing node/engine stages:\n%s", attrPage)
+	// own stage histograms (every node traces what it handles). Every node
+	// serves the same route over its own registry, and the manager's rows
+	// are the nodes' rows summed.
+	mgrAttr := fetchAttribution(t, mgrMetrics)
+	var nodeCount int64
+	for i, addr := range metrics[1:] {
+		attr := fetchAttribution(t, addr)
+		if attr["node"].Count == 0 || attr["engine"].Count == 0 {
+			t.Errorf("node %d /attribution missing node/engine stages: %+v", i+1, attr)
+		}
+		nodeCount += attr["node"].Count
+	}
+	if mgrAttr["node"].Count == 0 || mgrAttr["engine"].Count == 0 {
+		t.Errorf("manager /attribution missing node/engine stages: %+v", mgrAttr)
+	}
+	// The fleet merge lags the nodes by up to one scrape, and the driver
+	// is done, so the nodes' sum bounds the manager's node row.
+	if got := mgrAttr["node"].Count; got > nodeCount {
+		t.Errorf("manager node row count %d exceeds the nodes' sum %d", got, nodeCount)
 	}
 
 	for i := len(children) - 1; i >= 0; i-- {
 		children[i].drain(t)
 	}
+}
+
+// fetchAttribution reads one process's /attribution table, keyed by stage.
+func fetchAttribution(t *testing.T, addr string) map[string]obs.StageLat {
+	t.Helper()
+	page := httpGet("http://" + addr + "/attribution")
+	var rows []obs.StageLat
+	if err := json.Unmarshal([]byte(page), &rows); err != nil {
+		t.Fatalf("%s/attribution: %v\n%s", addr, err, page)
+	}
+	byStage := map[string]obs.StageLat{}
+	for _, r := range rows {
+		byStage[r.Stage] = r
+	}
+	return byStage
 }
 
 // powerRising reports whether the aggregated page shows a strictly positive

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -14,7 +13,7 @@ import (
 // Fleet aggregates the metrics of many processes into one cluster-wide
 // view. Each member exports its registry in raw mergeable form
 // (/metrics.raw.json); a poll loop feeds the scraped snapshots in through
-// Update, and Merged rebuilds a single registry on demand:
+// Update, and Raw merges them into one snapshot on demand:
 //
 //   - counters with the same series key sum across members,
 //   - histograms with the same key merge bucket-by-bucket via the same
@@ -74,26 +73,6 @@ func (f *Fleet) Remove(instance string) {
 // ScrapeError counts one failed member scrape.
 func (f *Fleet) ScrapeError() { f.scrapeErr.Inc() }
 
-// Instances returns the current member names, sorted.
-func (f *Fleet) Instances() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.members))
-	for name := range f.members {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// splitKey splits a rendered series key into base name and label string.
-func splitKey(key string) (name, labels string) {
-	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
-		return key[:i], key[i+1 : len(key)-1]
-	}
-	return key, ""
-}
-
 // withInstance adds an instance label to a rendered label string, keeping
 // the pair list sorted (the canonical form renderLabels produces).
 func withInstance(labels, instance string) string {
@@ -107,11 +86,11 @@ func withInstance(labels, instance string) string {
 	return strings.Join(parts, ",")
 }
 
-// Merged rebuilds the aggregated registry from the latest member snapshots
-// (plus the aggregator's own registry as instance "manager"). The result is
-// a plain Registry, so every existing renderer — Prometheus text, JSON
-// snapshot, raw dump — works on the cluster-wide view unchanged.
-func (f *Fleet) Merged() *Registry {
+// Raw merges the latest member snapshots (plus the aggregator's own
+// registry as instance "manager") into one cluster-wide snapshot, which
+// every RawSnapshot renderer — Prometheus text, JSON summary, attribution
+// table, raw dump — then serves unchanged.
+func (f *Fleet) Raw() RawSnapshot {
 	f.mu.Lock()
 	members := make(map[string]RawSnapshot, len(f.members)+1)
 	for name, snap := range f.members {
@@ -122,22 +101,19 @@ func (f *Fleet) Merged() *Registry {
 		members["manager"] = f.self.Raw()
 	}
 
-	names := make([]string, 0, len(members))
-	for name := range members {
-		names = append(names, name)
+	merged := RawSnapshot{
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
+		Hists:    map[string]HistDump{},
 	}
-	sort.Strings(names)
-
-	merged := NewRegistry()
-	for _, instance := range names {
-		snap := members[instance]
+	hists := map[string]*Histogram{}
+	for instance, snap := range members {
 		for key, v := range snap.Counters {
-			name, labels := splitKey(key)
-			merged.lookupRendered(name, labels, kindCounter).c.Add(v)
+			merged.Counters[key] += v
 		}
 		for key, v := range snap.Gauges {
 			name, labels := splitKey(key)
-			merged.lookupRendered(name, withInstance(labels, instance), kindGauge).g.Set(v)
+			merged.Gauges[promKey(name, withInstance(labels, instance), "")] = v
 		}
 		for key, d := range snap.Hists {
 			h, err := HistFromDump(d)
@@ -145,99 +121,17 @@ func (f *Fleet) Merged() *Registry {
 				f.mergeErr.Inc()
 				continue
 			}
-			name, labels := splitKey(key)
-			merged.lookupRendered(name, labels, kindHist).h.Merge(h)
-		}
-	}
-	return merged
-}
-
-// Attribution builds the cluster-wide latency-attribution table from the
-// merged leed_stage_queue_ns / leed_stage_service_ns histograms — the same
-// rows a single process's tracer produces, now summed over every process the
-// traced requests crossed.
-func (f *Fleet) Attribution() Attribution {
-	merged := f.Merged()
-	type pair struct{ queue, service *Hist }
-	stages := map[string]pair{}
-	merged.mu.Lock()
-	all := make([]*series, 0, len(merged.series))
-	for _, s := range merged.series {
-		all = append(all, s)
-	}
-	merged.mu.Unlock()
-	for _, s := range all {
-		if s.kind != kindHist {
-			continue
-		}
-		var which int
-		switch s.name {
-		case "leed_stage_queue_ns":
-			which = 1
-		case "leed_stage_service_ns":
-			which = 2
-		default:
-			continue
-		}
-		stage := labelValue(s.labels, "stage")
-		if stage == "" {
-			continue
-		}
-		p := stages[stage]
-		if which == 1 {
-			p.queue = s.h
-		} else {
-			p.service = s.h
-		}
-		stages[stage] = p
-	}
-
-	names := make([]string, 0, len(stages))
-	for name := range stages {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		oi, iok := stageOrder[names[i]]
-		oj, jok := stageOrder[names[j]]
-		switch {
-		case iok && jok:
-			return oi < oj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return names[i] < names[j]
-		}
-	})
-	var a Attribution
-	for _, name := range names {
-		q := stages[name].queue.Snap()
-		s := stages[name].service.Snap()
-		a.Stages = append(a.Stages, StageLat{
-			Stage:      name,
-			Count:      s.Count,
-			QueueP50:   q.P50,
-			QueueP99:   q.P99,
-			ServiceP50: s.P50,
-			ServiceP99: s.P99,
-			QueueMean:  q.Mean,
-			SvcMean:    s.Mean,
-		})
-	}
-	return a
-}
-
-// labelValue extracts one label's value from a rendered label string.
-func labelValue(labels, key string) string {
-	for _, part := range strings.Split(labels, ",") {
-		if rest, ok := strings.CutPrefix(part, key+"="); ok {
-			if v, err := strconv.Unquote(rest); err == nil {
-				return v
+			if acc, ok := hists[key]; ok {
+				acc.Merge(h)
+			} else {
+				hists[key] = h
 			}
 		}
 	}
-	return ""
+	for key, h := range hists {
+		merged.Hists[key] = h.Dump()
+	}
+	return merged
 }
 
 // fetchClient bounds how long one member scrape may hang: a wedged member

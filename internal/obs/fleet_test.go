@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestFleetMergeSemantics(t *testing.T) {
 	f.Update("n1", memberReg(10, 3, 1000).Raw())
 	f.Update("n2", memberReg(5, 4, 4000).Raw())
 
-	snap := f.Merged().Snapshot()
+	snap := f.Raw().Summary()
 	if got := snap.Counters["leed_node_gets_total"]; got != 15 {
 		t.Errorf("merged counter = %d, want 15 (10+5)", got)
 	}
@@ -50,7 +51,7 @@ func TestFleetMergeSemantics(t *testing.T) {
 
 	// A removed member's contribution disappears on the next merge.
 	f.Remove("n2")
-	snap = f.Merged().Snapshot()
+	snap = f.Raw().Summary()
 	if got := snap.Counters["leed_node_gets_total"]; got != 10 {
 		t.Errorf("post-remove counter = %d, want 10", got)
 	}
@@ -60,25 +61,40 @@ func TestFleetMergeSemantics(t *testing.T) {
 // merging two members equals one histogram fed both observation streams.
 func TestFleetMergeExactHistogram(t *testing.T) {
 	want := NewHistogram()
-	a, b := NewHistogram(), NewHistogram()
+	ra, rb := NewRegistry(), NewRegistry()
 	for i := Time(1); i <= 1000; i *= 3 {
-		a.Record(i)
+		ra.Hist("leed_test_lat_ns").Record(i)
 		want.Record(i)
 	}
 	for i := Time(2); i <= 5000; i *= 2 {
-		b.Record(i)
+		rb.Hist("leed_test_lat_ns").Record(i)
 		want.Record(i)
 	}
-	ra, rb := NewRegistry(), NewRegistry()
-	ra.Hist("leed_test_lat_ns").Merge(a)
-	rb.Hist("leed_test_lat_ns").Merge(b)
 	f := NewFleet(nil)
 	f.Update("a", ra.Raw())
 	f.Update("b", rb.Raw())
-	got := f.Merged().Snapshot().Hists["leed_test_lat_ns"]
-	ws := want.Snap()
-	if got.Count != ws.Count || got.Sum != ws.Sum || got.P50 != ws.P50 || got.P99 != ws.P99 {
-		t.Errorf("merged hist %+v != direct %+v", got, ws)
+	if got := f.Raw().Hists["leed_test_lat_ns"]; !reflect.DeepEqual(got, want.Dump()) {
+		t.Errorf("merged hist %+v != direct %+v", got, want.Dump())
+	}
+}
+
+// TestFleetMergeCountsBadDump checks a member's corrupt histogram dump is
+// dropped from the merge and counted, while its other series still merge.
+func TestFleetMergeCountsBadDump(t *testing.T) {
+	self := NewRegistry()
+	f := NewFleet(self)
+	bad := memberReg(3, 1, 100).Raw()
+	bad.Hists["leed_test_bad_ns"] = HistDump{N: 2, Buckets: [][2]int64{{5, 1}}}
+	f.Update("n1", bad)
+	merged := f.Raw()
+	if _, ok := merged.Hists["leed_test_bad_ns"]; ok {
+		t.Error("corrupt dump reached the merge")
+	}
+	if got := merged.Counters["leed_node_gets_total"]; got != 3 {
+		t.Errorf("member counter = %d, want 3", got)
+	}
+	if got := self.Counter("leed_fleet_merge_errors_total").Load(); got != 1 {
+		t.Errorf("merge errors = %d, want 1", got)
 	}
 }
 
@@ -88,7 +104,7 @@ func TestFleetAttribution(t *testing.T) {
 	f := NewFleet(nil)
 	f.Update("n1", memberReg(8, 1, 1000).Raw())
 	f.Update("n2", memberReg(4, 1, 2000).Raw())
-	a := f.Attribution()
+	a := f.Raw().Attribution()
 	if len(a.Stages) != 1 {
 		t.Fatalf("attribution rows = %d, want 1 (node): %+v", len(a.Stages), a.Stages)
 	}
@@ -109,7 +125,7 @@ func TestFleetSelfAndHealthSeries(t *testing.T) {
 	f.ScrapeError()
 
 	var b strings.Builder
-	f.Merged().WritePrometheus(&b)
+	f.Raw().WritePrometheus(&b)
 	out := b.String()
 	for _, series := range []string{
 		"leed_fleet_scrapes_total",

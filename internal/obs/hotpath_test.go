@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -25,9 +26,10 @@ func TestHistConcurrentRecord(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				h.Snap()
-				h.CumBuckets()
-				h.Count()
+				if _, err := HistFromDump(h.Dump()); err != nil {
+					t.Error(err) // a torn dump fails validation
+					return
+				}
 			}
 		}
 	}()
@@ -44,16 +46,15 @@ func TestHistConcurrentRecord(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	if got := h.Count(); got != writers*perW {
+	m, err := HistFromDump(h.Dump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Count(); got != writers*perW {
 		t.Fatalf("count = %d, want %d", got, writers*perW)
 	}
-	snap := h.Snap()
-	if snap.Count != writers*perW {
-		t.Fatalf("snap count = %d, want %d", snap.Count, writers*perW)
-	}
-	cum, total := h.CumBuckets()
-	if total != writers*perW || cum[len(cum)-1] > total {
-		t.Fatalf("cum buckets inconsistent: last=%d total=%d", cum[len(cum)-1], total)
+	if cum := m.CumBuckets(); cum[len(cum)-1] > m.Count() {
+		t.Fatalf("cum buckets inconsistent: last=%d total=%d", cum[len(cum)-1], m.Count())
 	}
 }
 
@@ -72,18 +73,8 @@ func TestHistStripesMergeDeterministic(t *testing.T) {
 		b.Record(Time(i * 17))
 	}
 	b.mu.Unlock()
-	if sa, sb := a.Snap(), b.Snap(); sa != sb {
-		t.Fatalf("striped snap %+v differs from unstriped %+v", sb, sa)
-	}
-	ca, ta := a.CumBuckets()
-	cb, tb := b.CumBuckets()
-	if ta != tb {
-		t.Fatalf("totals differ: %d vs %d", ta, tb)
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("bucket %d differs: %d vs %d", i, ca[i], cb[i])
-		}
+	if da, db := a.Dump(), b.Dump(); !reflect.DeepEqual(da, db) {
+		t.Fatalf("striped dump %+v differs from unstriped %+v", db, da)
 	}
 }
 
@@ -144,9 +135,8 @@ func TestTraceLifecycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestStageBindObserve checks the pre-bound handle feeds the same
-// histograms Tracer.Observe does, creates them only on its first
-// observation (so binding leaves snapshots and the attribution table as
+// TestStageBindObserve checks two binds of one stage feed the same
+// histograms, a bind creates them only on its first observation (so binding leaves snapshots and the attribution table as
 // they were), and tolerates nil.
 func TestStageBindObserve(t *testing.T) {
 	reg := NewRegistry()
@@ -156,9 +146,9 @@ func TestStageBindObserve(t *testing.T) {
 		t.Fatalf("Bind created series before any observation: %d hists, table:\n%s", n, tr.Attribution())
 	}
 	b.Observe(5, 10)
-	tr.Observe("node", 7, 14)
-	if got := reg.Hist("leed_stage_queue_ns", "stage", "node").Count(); got != 2 {
-		t.Fatalf("queue count = %d, want 2 (bound + direct share a series)", got)
+	tr.Bind("node").Observe(7, 14)
+	if got := reg.Hist("leed_stage_queue_ns", "stage", "node").Dump().N; got != 2 {
+		t.Fatalf("queue count = %d, want 2 (both binds share a series)", got)
 	}
 	var nilB *StageBind
 	nilB.Observe(1, 2) // must not panic

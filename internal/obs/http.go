@@ -7,85 +7,91 @@ import (
 	"net/http/pprof"
 )
 
-// Server is a metrics endpoint bound to one registry and (optionally) one
-// tracer. It exists on the wallclock backend only — under sim there is no
-// wire, callers snapshot the registry directly.
+// Server is a metrics endpoint over one snapshot source and (optionally)
+// one tracer. It exists on the wallclock backend only — under sim there is
+// no wire, callers snapshot the registry directly.
 type Server struct {
-	Addr string // actual listen address (useful when the caller passed :0)
+	addr string
 	srv  *http.Server
-	ln   net.Listener
 }
 
-// ServeMetrics starts an HTTP server on addr exposing:
+// ServeMetrics starts an HTTP server on addr exposing, every page rendered
+// from one call of snap:
 //
-//	/metrics          Prometheus text exposition of every registry series
-//	/metrics.json     the deterministic JSON snapshot
+//	/metrics          Prometheus text exposition of every series
+//	/metrics.json     the deterministic JSON summary
 //	/metrics.raw.json the raw mergeable snapshot (what fleet aggregation
 //	                  scrapes; histograms as bucket dumps, not summaries)
-//	/traces           the tracer's sampled whole traces (JSON array)
+//	/attribution      the per-stage latency-attribution table (JSON array)
+//	/traces           the tracer's sampled whole traces plus the table
 //	/debug/pprof      the standard Go profiling endpoints (heap, cpu,
 //	                  allocs…), registered explicitly so the hot path's
 //	                  allocation budget can be audited against a live server
 //
-// The server runs on its own goroutines; instruments are atomic or
-// mutex-guarded precisely so these handlers can read them mid-run.
-func ServeMetrics(addr string, reg *Registry, tr *Tracer) (*Server, error) {
-	return ServeMetricsWith(addr, reg, tr, nil)
-}
-
-// ServeMetricsWith is ServeMetrics plus caller-supplied handlers. An extra
-// handler whose pattern collides with a default endpoint replaces it — the
-// manager uses this to serve the fleet-aggregated view on /metrics while
-// keeping its own raw snapshot scrapeable.
-func ServeMetricsWith(addr string, reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) (*Server, error) {
+// A process passes its registry's Raw; the cluster manager passes its
+// Fleet's Raw, so the same routes serve the cluster-wide view. A blank addr
+// serves nothing and returns a nil Server, whose methods are no-ops. The
+// server runs on its own goroutines; instruments are atomic or
+// mutex-guarded precisely so snap can read them mid-run.
+func ServeMetrics(addr string, snap func() RawSnapshot, tr *Tracer) (*Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	handlers := map[string]http.HandlerFunc{
-		"/metrics": func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w)
-		},
-		"/metrics.json": func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = reg.Snapshot().WriteJSON(w)
-		},
-		"/metrics.raw.json": func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(reg.Raw())
-		},
-		"/traces": func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			samples := tr.Samples()
-			if samples == nil {
-				samples = []Trace{}
-			}
-			_ = enc.Encode(struct {
-				Traces      []Trace     `json:"traces"`
-				Attribution Attribution `json:"attribution"`
-			}{samples, tr.Attribution()})
-		},
-		// Explicit registration: importing net/http/pprof only touches
-		// http.DefaultServeMux, which this server deliberately does not use.
-		"/debug/pprof/":        pprof.Index,
-		"/debug/pprof/cmdline": pprof.Cmdline,
-		"/debug/pprof/profile": pprof.Profile,
-		"/debug/pprof/symbol":  pprof.Symbol,
-		"/debug/pprof/trace":   pprof.Trace,
-	}
-	for pattern, h := range extra {
-		handlers[pattern] = h
+	writeJSON := func(w http.ResponseWriter, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(v)
 	}
 	mux := http.NewServeMux()
-	for pattern, h := range handlers {
-		mux.HandleFunc(pattern, h)
-	}
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux}, ln: ln}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		snap().WritePrometheus(w)
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = snap().Summary().WriteJSON(w)
+	})
+	mux.HandleFunc("/metrics.raw.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(snap())
+	})
+	mux.HandleFunc("/attribution", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, snap().Attribution())
+	})
+	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
+		samples := tr.Samples()
+		if samples == nil {
+			samples = []Trace{}
+		}
+		writeJSON(w, struct {
+			Traces      []Trace     `json:"traces"`
+			Attribution Attribution `json:"attribution"`
+		}{samples, snap().Attribution()})
+	})
+	// Explicit registration: importing net/http/pprof only touches
+	// http.DefaultServeMux, which this server deliberately does not use.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s := &Server{addr: ln.Addr().String(), srv: &http.Server{Handler: mux}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
+}
+
+// Addr returns the actual listen address (useful when the caller passed
+// :0), or "" on a nil Server.
+func (s *Server) Addr() string {
+	if s == nil {
+		return ""
+	}
+	return s.addr
 }
 
 // Close shuts the listener down.

@@ -17,14 +17,14 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	trc.Span("device", 100, 200)
 	tr.End(trc)
 
-	srv, err := ServeMetrics("127.0.0.1:0", reg, tr)
+	srv, err := ServeMetrics("127.0.0.1:0", reg.Raw, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr + path)
+		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -67,5 +67,30 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, `"attribution"`) {
 		t.Fatalf("/traces missing attribution: %s", body)
+	}
+
+	var attr []StageLat
+	if err := json.Unmarshal([]byte(get("/attribution")), &attr); err != nil {
+		t.Fatalf("/attribution not valid JSON: %v", err)
+	}
+	if len(attr) != 1 || attr[0].Stage != "device" || attr[0].Count != 1 {
+		t.Fatalf("/attribution = %+v, want one device row", attr)
+	}
+
+	var raw RawSnapshot
+	if err := json.Unmarshal([]byte(get("/metrics.raw.json")), &raw); err != nil {
+		t.Fatalf("/metrics.raw.json not valid JSON: %v", err)
+	}
+	if d := raw.Hists["leed_test_lat_ns"]; d.N != 1 || len(d.Buckets) != 1 {
+		t.Fatalf("/metrics.raw.json hist = %+v, want one bucketed sample", d)
+	}
+
+	// A blank address serves nothing, and the nil server is safe to use.
+	none, err := ServeMetrics("", reg.Raw, tr)
+	if none != nil || err != nil {
+		t.Fatalf("blank addr = (%v, %v), want (nil, nil)", none, err)
+	}
+	if none.Addr() != "" || none.Close() != nil {
+		t.Fatal("nil server must report no address and close cleanly")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ func TestPrometheusBucketExport(t *testing.T) {
 		hist.Record(Time(2000 + i))
 	}
 	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
+	reg.Raw().WritePrometheus(&buf)
 	page := buf.String()
 
 	// The summary lines must still be there (pinned by older tests), and
@@ -74,5 +75,62 @@ func TestPrometheusBucketExport(t *testing.T) {
 	}
 	if got := strings.Count(page, "leed_bkt_ns_bucket{"); got != len(HistPromEdges)+1 {
 		t.Errorf("got %d bucket lines, want %d", got, len(HistPromEdges)+1)
+	}
+}
+
+// TestPrometheusPageConsistentUnderWrites renders pages while writers record
+// into the histograms: every histogram on every page must have its _count
+// equal to its le="+Inf" bucket, which holds only if a page reads each
+// histogram once.
+func TestPrometheusPageConsistentUnderWrites(t *testing.T) {
+	reg := NewRegistry()
+	hists := []*Hist{reg.Hist("leed_a_ns"), reg.Hist("leed_b_ns", "dev", "ssd0")}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hists[(w+i)%len(hists)].Record(Time(1000 + i%5000))
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for page := 0; page < 300; page++ {
+		var buf bytes.Buffer
+		reg.Raw().WritePrometheus(&buf)
+		count := map[string]string{}
+		inf := map[string]string{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			key, val, ok := strings.Cut(line, " ")
+			if !ok || strings.HasPrefix(line, "#") {
+				continue
+			}
+			name, labels := splitKey(key)
+			switch {
+			case strings.HasSuffix(name, "_count"):
+				count[strings.TrimSuffix(name, "_count")+"{"+labels+"}"] = val
+			case strings.HasSuffix(name, "_bucket") && strings.HasSuffix(labels, `le="+Inf"`):
+				labels = strings.TrimSuffix(strings.TrimSuffix(labels, `le="+Inf"`), ",")
+				inf[strings.TrimSuffix(name, "_bucket")+"{"+labels+"}"] = val
+			}
+		}
+		if len(count) != len(hists) {
+			t.Fatalf("page %d: %d _count lines, want %d:\n%s", page, len(count), len(hists), buf.String())
+		}
+		for name, c := range count {
+			if inf[name] != c {
+				t.Fatalf("page %d: %s _count %s != le=\"+Inf\" %s", page, name, c, inf[name])
+			}
+		}
 	}
 }

@@ -118,9 +118,14 @@ func (x *Hist) Record(d Time) {
 	sh.mu.Unlock()
 }
 
-// mergedLocked folds the overflow stripes into a copy of the primary
-// histogram. Caller holds x.mu.
-func (x *Hist) mergedLocked() Histogram {
+// Dump exports the raw mergeable form: the primary histogram with the
+// overflow stripes folded in, all under the primary mutex.
+func (x *Hist) Dump() HistDump {
+	if x == nil {
+		return HistDump{}
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	m := x.h
 	for i := range x.shards {
 		sh := &x.shards[i]
@@ -130,81 +135,7 @@ func (x *Hist) mergedLocked() Histogram {
 		}
 		sh.mu.Unlock()
 	}
-	return m
-}
-
-// Merge adds all of o's observations.
-func (x *Hist) Merge(o *Histogram) {
-	if x == nil || o == nil {
-		return
-	}
-	x.mu.Lock()
-	x.h.Merge(o)
-	x.mu.Unlock()
-}
-
-// Snap summarizes the histogram (primary plus overflow stripes).
-func (x *Hist) Snap() HistSnap {
-	if x == nil {
-		return HistSnap{}
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	m := x.mergedLocked()
-	return m.Snap()
-}
-
-// Clone returns a copy of the underlying histogram, stripes folded in.
-func (x *Hist) Clone() *Histogram {
-	if x == nil {
-		return NewHistogram()
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	c := x.mergedLocked()
-	return &c
-}
-
-// Dump exports the raw mergeable form (primary plus overflow stripes).
-func (x *Hist) Dump() HistDump {
-	if x == nil {
-		return HistDump{}
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	m := x.mergedLocked()
 	return m.Dump()
-}
-
-// Count returns the number of recorded observations.
-func (x *Hist) Count() int64 {
-	if x == nil {
-		return 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	n := x.h.Count()
-	for i := range x.shards {
-		sh := &x.shards[i]
-		sh.mu.Lock()
-		if sh.h != nil {
-			n += sh.h.Count()
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// CumBuckets returns the cumulative counts at HistPromEdges plus the total
-// count, taken under one lock so the pair is self-consistent.
-func (x *Hist) CumBuckets() ([]int64, int64) {
-	if x == nil {
-		return make([]int64, len(HistPromEdges)), 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	m := x.mergedLocked()
-	return m.CumBuckets(), m.Count()
 }
 
 type seriesKind int
@@ -286,31 +217,6 @@ func (r *Registry) lookup(name string, kind seriesKind, labels []string) *series
 	return s
 }
 
-// lookupRendered is lookup for an already-rendered label string — the fleet
-// merge path rebuilds series from scraped snapshot keys, whose labels are
-// canonical (sorted) by construction.
-func (r *Registry) lookupRendered(name, labels string, kind seriesKind) *series {
-	s := &series{name: name, labels: labels, kind: kind}
-	switch kind {
-	case kindCounter:
-		s.c = &Counter{}
-	case kindGauge:
-		s.g = &Gauge{}
-	case kindHist:
-		s.h = NewHist()
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if got, ok := r.series[s.key()]; ok && got.kind == kind {
-		return got
-	}
-	r.series[s.key()] = s
-	return s
-}
-
 // Counter returns the counter named name with the given label pairs,
 // creating it on first use.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
@@ -327,8 +233,8 @@ func (r *Registry) Hist(name string, labels ...string) *Hist {
 	return r.lookup(name, kindHist, labels).h
 }
 
-// Snapshot is a point-in-time copy of every series in a registry. Encoded
-// as JSON it is deterministic: map keys sort, values are plain integers
+// Snapshot is the quantile-summary form of a RawSnapshot. Encoded as JSON
+// it is deterministic: map keys sort, values are plain integers
 // (nanoseconds for histogram summaries), so two seeded sim runs produce
 // byte-identical snapshots.
 type Snapshot struct {
@@ -337,47 +243,24 @@ type Snapshot struct {
 	Hists    map[string]HistSnap `json:"hists"`
 }
 
-// Snapshot copies out every series.
-func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Hists:    map[string]HistSnap{},
-	}
-	if r == nil {
-		return snap
-	}
-	r.mu.Lock()
-	all := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		all = append(all, s)
-	}
-	r.mu.Unlock()
-	for _, s := range all {
-		switch s.kind {
-		case kindCounter:
-			snap.Counters[s.key()] = s.c.Load()
-		case kindGauge:
-			snap.Gauges[s.key()] = s.g.Load()
-		case kindHist:
-			snap.Hists[s.key()] = s.h.Snap()
-		}
-	}
-	return snap
-}
+// Snapshot summarizes every series.
+func (r *Registry) Snapshot() Snapshot { return r.Raw().Summary() }
 
-// RawSnapshot is the mergeable counterpart of Snapshot: histograms appear as
-// raw bucket dumps instead of quantile summaries, so snapshots from many
-// processes can be combined exactly. This is what /metrics.raw.json serves
-// and what the manager's fleet aggregation scrapes. Keys are the rendered
-// series identities (`name{label="v",...}`), identical to Snapshot's.
+// RawSnapshot is a point-in-time copy of every series in mergeable form:
+// histograms appear as raw bucket dumps, so snapshots from many processes
+// combine exactly (Fleet.Raw). It is the one thing every metrics page is
+// rendered from — the Prometheus text, the JSON summary, the attribution
+// table — and what /metrics.raw.json serves. Keys are the rendered series
+// identities (`name{label="v",...}`).
 type RawSnapshot struct {
 	Counters map[string]int64    `json:"counters"`
 	Gauges   map[string]int64    `json:"gauges"`
 	Hists    map[string]HistDump `json:"hists"`
 }
 
-// Raw copies out every series in mergeable form.
+// Raw copies out every series in mergeable form. It is the only reader of
+// live instruments: each histogram is dumped under one lock acquisition,
+// so every page rendered from the result is self-consistent.
 func (r *Registry) Raw() RawSnapshot {
 	raw := RawSnapshot{
 		Counters: map[string]int64{},
@@ -404,6 +287,26 @@ func (r *Registry) Raw() RawSnapshot {
 		}
 	}
 	return raw
+}
+
+// hist rebuilds the histogram behind key's dump; a dump that fails
+// validation (possible only for one decoded from another process) is
+// skipped by every renderer.
+func (s RawSnapshot) hist(key string) (*Histogram, bool) {
+	h, err := HistFromDump(s.Hists[key])
+	return h, err == nil
+}
+
+// Summary renders the histograms as quantile summaries. Counters and gauges
+// are shared with s, not copied.
+func (s RawSnapshot) Summary() Snapshot {
+	snap := Snapshot{Counters: s.Counters, Gauges: s.Gauges, Hists: make(map[string]HistSnap, len(s.Hists))}
+	for key := range s.Hists {
+		if h, ok := s.hist(key); ok {
+			snap.Hists[key] = h.Snap()
+		}
+	}
+	return snap
 }
 
 // WriteJSON writes the snapshot as indented JSON.
@@ -446,6 +349,14 @@ func (s Snapshot) String() string {
 	return b.String()
 }
 
+// splitKey splits a rendered series key into base name and label string.
+func splitKey(key string) (name, labels string) {
+	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
+		return key[:i], key[i+1 : len(key)-1]
+	}
+	return key, ""
+}
+
 // promKey merges extra label pairs (e.g. quantile="0.5") into a rendered
 // series key.
 func promKey(name, labels, extra string) string {
@@ -467,18 +378,24 @@ func promKey(name, labels, extra string) string {
 // the fixed HistPromEdges bounds with an explicit le="+Inf" — the histogram
 // form histogram_quantile can aggregate across instances, which the
 // pre-computed quantiles cannot. le values are nanoseconds, matching every
-// other time on the page. Output is sorted, so identical registries produce
-// identical pages.
-func (r *Registry) WritePrometheus(w io.Writer) {
-	if r == nil {
-		return
+// other time on the page. A histogram's quantiles, _count and buckets all
+// come from one dump, so _count always equals the le="+Inf" bucket. Output
+// is sorted, so identical snapshots produce identical pages.
+func (s RawSnapshot) WritePrometheus(w io.Writer) {
+	all := make([]series, 0, len(s.Counters)+len(s.Gauges)+len(s.Hists))
+	add := func(key string, kind seriesKind) {
+		name, labels := splitKey(key)
+		all = append(all, series{name: name, labels: labels, kind: kind})
 	}
-	r.mu.Lock()
-	all := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		all = append(all, s)
+	for k := range s.Counters {
+		add(k, kindCounter)
 	}
-	r.mu.Unlock()
+	for k := range s.Gauges {
+		add(k, kindGauge)
+	}
+	for k := range s.Hists {
+		add(k, kindHist)
+	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].name != all[j].name {
 			return all[i].name < all[j].name
@@ -486,39 +403,39 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		return all[i].labels < all[j].labels
 	})
 	lastType := ""
-	for _, s := range all {
-		switch s.kind {
+	typeLine := func(name, typ string) {
+		if name != lastType {
+			fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+			lastType = name
+		}
+	}
+	for _, e := range all {
+		switch e.kind {
 		case kindCounter:
-			if s.name != lastType {
-				fmt.Fprintf(w, "# TYPE %s counter\n", s.name)
-				lastType = s.name
-			}
-			fmt.Fprintf(w, "%s %d\n", s.key(), s.c.Load())
+			typeLine(e.name, "counter")
+			fmt.Fprintf(w, "%s %d\n", e.key(), s.Counters[e.key()])
 		case kindGauge:
-			if s.name != lastType {
-				fmt.Fprintf(w, "# TYPE %s gauge\n", s.name)
-				lastType = s.name
-			}
-			fmt.Fprintf(w, "%s %d\n", s.key(), s.g.Load())
+			typeLine(e.name, "gauge")
+			fmt.Fprintf(w, "%s %d\n", e.key(), s.Gauges[e.key()])
 		case kindHist:
-			if s.name != lastType {
-				fmt.Fprintf(w, "# TYPE %s summary\n", s.name)
-				lastType = s.name
+			h, ok := s.hist(e.key())
+			if !ok {
+				continue
 			}
-			h := s.h.Snap()
+			typeLine(e.name, "summary")
+			hs := h.Snap()
 			for _, q := range [...]struct {
 				l string
 				v int64
-			}{{"0.5", h.P50}, {"0.99", h.P99}, {"0.999", h.P999}} {
-				fmt.Fprintf(w, "%s %d\n", promKey(s.name, s.labels, `quantile=`+fmt.Sprintf("%q", q.l)), q.v)
+			}{{"0.5", hs.P50}, {"0.99", hs.P99}, {"0.999", hs.P999}} {
+				fmt.Fprintf(w, "%s %d\n", promKey(e.name, e.labels, `quantile=`+fmt.Sprintf("%q", q.l)), q.v)
 			}
-			fmt.Fprintf(w, "%s %d\n", promKey(s.name+"_sum", s.labels, ""), h.Sum)
-			fmt.Fprintf(w, "%s %d\n", promKey(s.name+"_count", s.labels, ""), h.Count)
-			cum, total := s.h.CumBuckets()
-			for i, e := range HistPromEdges {
-				fmt.Fprintf(w, "%s %d\n", promKey(s.name+"_bucket", s.labels, fmt.Sprintf(`le="%d"`, e)), cum[i])
+			fmt.Fprintf(w, "%s %d\n", promKey(e.name+"_sum", e.labels, ""), hs.Sum)
+			fmt.Fprintf(w, "%s %d\n", promKey(e.name+"_count", e.labels, ""), hs.Count)
+			for i, c := range h.CumBuckets() {
+				fmt.Fprintf(w, "%s %d\n", promKey(e.name+"_bucket", e.labels, fmt.Sprintf(`le="%d"`, HistPromEdges[i])), c)
 			}
-			fmt.Fprintf(w, "%s %d\n", promKey(s.name+"_bucket", s.labels, `le="+Inf"`), total)
+			fmt.Fprintf(w, "%s %d\n", promKey(e.name+"_bucket", e.labels, `le="+Inf"`), hs.Count)
 		}
 	}
 }

@@ -47,9 +47,9 @@ func TestNilRegistryHandsBackWorkingInstruments(t *testing.T) {
 	c.Inc()
 	g.Set(3)
 	h.Record(100)
-	if c.Load() != 1 || g.Load() != 3 || h.Count() != 1 {
+	if c.Load() != 1 || g.Load() != 3 || h.Dump().N != 1 {
 		t.Fatalf("nil-registry instruments dropped writes: c=%d g=%d h=%d",
-			c.Load(), g.Load(), h.Count())
+			c.Load(), g.Load(), h.Dump().N)
 	}
 	// And nil instruments themselves are no-ops, not panics.
 	var nc *Counter
@@ -79,12 +79,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			names := []string{"a", "b", "c"}
+			dev := tr.Bind("device")
 			for i := 0; i < iters; i++ {
 				n := names[i%len(names)]
 				reg.Counter("leed_test_ops_total", "w", n).Inc()
 				reg.Gauge("leed_test_depth", "w", n).Set(int64(i))
 				reg.Hist("leed_test_lat_ns", "w", n).Record(Time(i))
-				tr.Observe("device", Time(i), Time(2*i))
+				dev.Observe(Time(i), Time(2*i))
 				if i%64 == 0 {
 					trc := tr.Begin("get", Time(i))
 					trc.Span("node", 1, 2)
@@ -107,7 +108,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				default:
 				}
 				_ = reg.Snapshot()
-				reg.WritePrometheus(new(bytes.Buffer))
+				reg.Raw().WritePrometheus(new(bytes.Buffer))
 				_ = tr.Attribution()
 				_ = tr.Samples()
 			}
@@ -162,8 +163,8 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 		t.Fatal("snapshot String differs across identical registries")
 	}
 	var p1, p2 bytes.Buffer
-	r1.WritePrometheus(&p1)
-	r2.WritePrometheus(&p2)
+	r1.Raw().WritePrometheus(&p1)
+	r2.Raw().WritePrometheus(&p2)
 	if p1.String() != p2.String() {
 		t.Fatal("Prometheus pages differ across identical registries")
 	}
@@ -185,10 +186,10 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 func TestAttributionOrderAndJSON(t *testing.T) {
 	tr := NewTracer(nil, 0, 0)
 	// Observe out of pipeline order plus one unknown stage.
-	tr.Observe("device", 10, 20)
-	tr.Observe("client", 1, 2)
-	tr.Observe("zeta", 5, 5)
-	tr.Observe("engine", 3, 4)
+	tr.Bind("device").Observe(10, 20)
+	tr.Bind("client").Observe(1, 2)
+	tr.Bind("zeta").Observe(5, 5)
+	tr.Bind("engine").Observe(3, 4)
 	a := tr.Attribution()
 	var got []string
 	for _, s := range a.Stages {

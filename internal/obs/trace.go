@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,13 +103,16 @@ type Tracer struct {
 	ringCap int
 }
 
-// NewTracer returns a tracer aggregating into reg (which may be nil: the
-// tracer still aggregates, just into unregistered histograms). Every
+// NewTracer returns a tracer aggregating into reg (nil: into a private
+// registry, which its Attribution still reads). Every
 // sampleEvery-th trace is kept whole, up to ringCap retained traces
 // (oldest evicted first). sampleEvery <= 0 disables whole-trace sampling.
 func NewTracer(reg *Registry, sampleEvery, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = 64
+	}
+	if reg == nil {
+		reg = NewRegistry()
 	}
 	return &Tracer{
 		reg:     reg,
@@ -141,8 +145,7 @@ func (t *Tracer) stage(name string) stageHists {
 	if sh, ok := t.stages[name]; ok {
 		return sh
 	}
-	// A nil registry hands back working unregistered hists; the map pins
-	// them so repeat observations accumulate either way.
+	// The map caches the registry lookup, which renders the label string.
 	sh := stageHists{
 		queue:   t.reg.Hist("leed_stage_queue_ns", "stage", name),
 		service: t.reg.Hist("leed_stage_service_ns", "stage", name),
@@ -151,33 +154,13 @@ func (t *Tracer) stage(name string) stageHists {
 	return sh
 }
 
-// Observe aggregates one stage observation directly, without a full trace.
-// Device-level code uses this: every completed op contributes its queue
-// wait and service time even when the op wasn't part of a traced request.
-func (t *Tracer) Observe(stage string, queue, service Time) {
-	if t == nil {
-		return
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	if service < 0 {
-		service = 0
-	}
-	t.mu.Lock()
-	sh := t.stage(stage)
-	t.mu.Unlock()
-	sh.queue.Record(queue)
-	sh.service.Record(service)
-}
-
-// StageBind is a pre-bound handle on one stage's aggregation histograms.
-// Tracer.Observe pays a mutex and a map lookup per call; a hot path binds
-// its stage once at setup and records through the handle for the cost of
-// an atomic load and two histogram records. The histograms are resolved on
+// StageBind is a pre-bound handle on one stage's aggregation histograms —
+// how code outside a trace (a device completing an op, the engine's
+// untraced executions) records a stage observation. A hot path binds its
+// stage once at setup and records through the handle for the cost of an
+// atomic load and two histogram records. The histograms are resolved on
 // the first observation, not at Bind, so binding a stage that never fires
-// adds no series to the registry or row to the attribution table: a bound
-// stage shows up exactly when Tracer.Observe would have created it.
+// adds no series to the registry or row to the attribution table.
 // Nil-safe, like every other instrument.
 type StageBind struct {
 	t     *Tracer
@@ -279,22 +262,47 @@ type Attribution struct {
 	Stages []StageLat `json:"stages"`
 }
 
-// Attribution summarizes the per-stage histograms collected so far.
+// Attribution summarizes the per-stage histograms collected so far in the
+// tracer's registry.
 func (t *Tracer) Attribution() Attribution {
-	var a Attribution
 	if t == nil {
-		return a
+		return Attribution{}
 	}
-	t.mu.Lock()
-	names := make([]string, 0, len(t.stages))
-	for name := range t.stages {
+	return t.reg.Raw().Attribution()
+}
+
+// Attribution builds the table from the snapshot's leed_stage_queue_ns /
+// leed_stage_service_ns histograms. On one process's registry that is its
+// tracer's table; on a fleet merge it is the cluster-wide table, each stage
+// summed over every process the traced requests crossed.
+func (s RawSnapshot) Attribution() Attribution {
+	type pair struct{ queue, service HistSnap }
+	stages := map[string]*pair{}
+	for key := range s.Hists {
+		name, labels := splitKey(key)
+		if name != "leed_stage_queue_ns" && name != "leed_stage_service_ns" {
+			continue
+		}
+		stage := labelValue(labels, "stage")
+		h, ok := s.hist(key)
+		if stage == "" || !ok {
+			continue
+		}
+		p := stages[stage]
+		if p == nil {
+			p = &pair{}
+			stages[stage] = p
+		}
+		if name == "leed_stage_queue_ns" {
+			p.queue = h.Snap()
+		} else {
+			p.service = h.Snap()
+		}
+	}
+	names := make([]string, 0, len(stages))
+	for name := range stages {
 		names = append(names, name)
 	}
-	hists := make(map[string]stageHists, len(t.stages))
-	for name, sh := range t.stages {
-		hists[name] = sh
-	}
-	t.mu.Unlock()
 	sort.Slice(names, func(i, j int) bool {
 		oi, iok := stageOrder[names[i]]
 		oj, jok := stageOrder[names[j]]
@@ -309,21 +317,33 @@ func (t *Tracer) Attribution() Attribution {
 			return names[i] < names[j]
 		}
 	})
+	var a Attribution
 	for _, name := range names {
-		q := hists[name].queue.Snap()
-		s := hists[name].service.Snap()
+		q, sv := stages[name].queue, stages[name].service
 		a.Stages = append(a.Stages, StageLat{
 			Stage:      name,
-			Count:      s.Count,
+			Count:      sv.Count,
 			QueueP50:   q.P50,
 			QueueP99:   q.P99,
-			ServiceP50: s.P50,
-			ServiceP99: s.P99,
+			ServiceP50: sv.P50,
+			ServiceP99: sv.P99,
 			QueueMean:  q.Mean,
-			SvcMean:    s.Mean,
+			SvcMean:    sv.Mean,
 		})
 	}
 	return a
+}
+
+// labelValue extracts one label's value from a rendered label string.
+func labelValue(labels, key string) string {
+	for _, part := range strings.Split(labels, ",") {
+		if rest, ok := strings.CutPrefix(part, key+"="); ok {
+			if v, err := strconv.Unquote(rest); err == nil {
+				return v
+			}
+		}
+	}
+	return ""
 }
 
 // String renders the attribution as a fixed-width table. Deterministic for

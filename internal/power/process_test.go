@@ -26,7 +26,7 @@ func TestProcessMeterSeriesGolden(t *testing.T) {
 	m.Close()
 
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	reg.Raw().WritePrometheus(&b)
 	out := b.String()
 	for _, series := range []string{
 		"leed_power_joules_total",

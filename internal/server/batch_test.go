@@ -125,6 +125,29 @@ func TestBatchPath(t *testing.T) {
 						t.Errorf("item %d (%s): wrong value", i, keys[i])
 					}
 				}
+				// Reusing the result: each value lands in the buffer the
+				// item at its index held, and a miss comes back empty where
+				// a hit's bytes were.
+				rot := make([][]byte, len(keys))
+				for i := range keys {
+					rot[i] = keys[(i+1)%len(keys)]
+				}
+				items, err = cl.MultiGet(p, rot, items[:0])
+				if err != nil || len(items) != len(keys) {
+					t.Errorf("reused MultiGet: %d items, err %v; want %d items", len(items), err, len(keys))
+					return
+				}
+				for i, it := range items {
+					j := (i + 1) % len(keys)
+					switch {
+					case it.Status != want[j]:
+						t.Errorf("reused item %d (%s): status %v, want %v", i, rot[i], it.Status, want[j])
+					case want[j] == rpcproto.StatusOK && string(it.Value) != string(testVal(j+1)):
+						t.Errorf("reused item %d (%s): wrong value", i, rot[i])
+					case want[j] != rpcproto.StatusOK && len(it.Value) != 0:
+						t.Errorf("reused item %d (%s): miss carries %d stale bytes", i, rot[i], len(it.Value))
+					}
+				}
 			},
 		},
 		{

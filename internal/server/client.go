@@ -488,12 +488,16 @@ func (c *Client) doBatch(t runtime.Task, op rpcproto.Op, keys, vals [][]byte, ou
 	if err != nil {
 		return out, err
 	}
-	for _, it := range cl.items {
-		ri := rpcproto.BatchRespItem{Status: it.Status}
-		if len(it.Value) > 0 {
-			ri.Value = append([]byte(nil), it.Value...)
+	for i, it := range cl.items {
+		// Reuse the value buffer out's backing array already holds at i.
+		var val []byte
+		if i < cap(out) {
+			val = out[:i+1][i].Value[:0]
 		}
-		out = append(out, ri)
+		if len(it.Value) > 0 {
+			val = append(val, it.Value...)
+		}
+		out = append(out, rpcproto.BatchRespItem{Status: it.Status, Value: val})
 	}
 	c.release(cl)
 	return out, nil
@@ -501,8 +505,10 @@ func (c *Client) doBatch(t runtime.Task, op rpcproto.Op, keys, vals [][]byte, ou
 
 // MultiGet fetches many keys in one frame. The result has one item per
 // key, in key order: StatusOK items carry the value, StatusNotFound items
-// report a missing key. Pass a reused out slice to amortize the result
-// across calls. The server reads the keys one after another on the
+// report a missing key. Pass a reused out slice (out[:0]) to amortize the
+// result across calls: each value is copied into the buffer the item at its
+// index held, so values stay valid only until the next call that passes
+// the same out. The server reads the keys one after another on the
 // connection's task, so a MultiGet of n keys costs one round trip plus n
 // reads: a memcpy each on the inline read lane, the sum of n device reads
 // without it.
@@ -512,12 +518,14 @@ func (c *Client) MultiGet(t runtime.Task, keys [][]byte, out []rpcproto.BatchRes
 
 // MultiPut stores many key=value pairs in one frame; vals[i] goes with
 // keys[i]. The result has one item per key reporting that item's status.
+// out is reused as MultiGet reuses it.
 func (c *Client) MultiPut(t runtime.Task, keys, vals [][]byte, out []rpcproto.BatchRespItem) ([]rpcproto.BatchRespItem, error) {
 	return c.doBatch(t, rpcproto.OpPut, keys, vals, out)
 }
 
 // MultiDel removes many keys in one frame. The result has one item per key:
-// StatusOK for a removed key, StatusNotFound for a missing one.
+// StatusOK for a removed key, StatusNotFound for a missing one. out is
+// reused as MultiGet reuses it.
 func (c *Client) MultiDel(t runtime.Task, keys [][]byte, out []rpcproto.BatchRespItem) ([]rpcproto.BatchRespItem, error) {
 	return c.doBatch(t, rpcproto.OpDel, keys, nil, out)
 }

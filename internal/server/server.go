@@ -192,7 +192,6 @@ type serverConn struct {
 	closed     bool
 	readerDone bool
 	lastActive runtime.Time // last request arrival, for idle reaping
-	lat        *obs.Hist
 }
 
 func (sc *serverConn) getWork() *reqWork {
@@ -395,7 +394,6 @@ func (s *Server) startConn(t runtime.Task, c transport.Conn) {
 		pipe:       s.env.MakeResource(s.cfg.MaxInflightPerConn),
 		workQ:      s.env.MakeQueue(),
 		lastActive: t.Now(),
-		lat:        s.cfg.Obs.Hist("leed_server_conn_latency_ns", "conn", c.String()),
 	}
 	s.conns[sc] = struct{}{}
 	s.o.connsTot.Inc()
@@ -585,7 +583,6 @@ func (s *Server) handle(t runtime.Task, sc *serverConn, w *reqWork) {
 		end := t.Now()
 		tr.Span("node", dispatched-arrived, end-done)
 		s.cfg.Tracer.End(tr)
-		sc.lat.Record(end - arrived)
 		return
 	}
 	var pid int
@@ -621,7 +618,6 @@ func (s *Server) handle(t runtime.Task, sc *serverConn, w *reqWork) {
 	end := t.Now()
 	tr.Span("node", dispatched-arrived, end-done)
 	s.cfg.Tracer.End(tr)
-	sc.lat.Record(end - arrived)
 	if pid < len(s.o.partLat) {
 		s.o.partLat[pid].Record(end - arrived)
 	}
@@ -727,7 +723,6 @@ func (s *Server) handleBatch(t runtime.Task, sc *serverConn, w *reqWork) {
 		}
 	}
 	sc.conn.Send(t, rpcproto.AppendBatchRespFrame(rpcproto.GetBuf(), w.req.ID, sts, vals))
-	sc.lat.Record(t.Now() - w.arrived)
 }
 
 // execPart runs partition pid's items of a write batch. A panic marks them

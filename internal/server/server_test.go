@@ -105,6 +105,51 @@ func TestServerInprocSim(t *testing.T) {
 	}
 }
 
+// TestReconnectsAddNoSeries pins that a connection leaves nothing behind in
+// the registry: 200 connect/request/close cycles against one server must
+// not grow its series count, or a server whose clients reconnect grows
+// every page and scrape without bound.
+func TestReconnectsAddNoSeries(t *testing.T) {
+	k := sim.New()
+	defer k.Close()
+	reg := obs.NewRegistry()
+	srv := server.New(server.Config{Env: k, Engine: newTestEngine(k, false), Obs: reg})
+	inp := transport.NewInproc(k, transport.InprocOptions{})
+	srv.Serve(inp)
+
+	cycle := func(p *sim.Proc, i int) {
+		conn, err := inp.Dial(p)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		cl := server.NewClient(k, conn, 1)
+		if err := cl.Put(p, testKey(i%8), testVal(i)); err != nil {
+			t.Errorf("put %d: %v", i, err)
+		}
+		if _, err := cl.Get(p, testKey(i%8)); err != nil {
+			t.Errorf("get %d: %v", i, err)
+		}
+		cl.Close()
+		p.Sleep(runtime.Millisecond) // let the server reap the connection
+	}
+	var before, after int
+	k.Go("client", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ { // warm every partition's series
+			cycle(p, i)
+		}
+		before = len(reg.Raw().Hists)
+		for i := 0; i < 200; i++ {
+			cycle(p, i)
+		}
+		after = len(reg.Raw().Hists)
+		srv.Close()
+	})
+	k.Run()
+	if before == 0 || after != before {
+		t.Fatalf("histogram series: %d before 200 reconnects, %d after", before, after)
+	}
+}
+
 // TestServerGracefulDrain pins the drain contract on the wallclock backend:
 // every request in flight when Close lands still completes successfully, a
 // request arriving during the drain is refused (error, not silence), a new
