@@ -17,7 +17,7 @@ import (
 // prints each report. Child processes — cluster roles, the kill drill's
 // `serve -listen` — are this binary re-execed. Any violation or harness
 // error exits non-zero.
-func chaosCmd(image string, capacity int64, partitions int, device string, durable bool,
+func chaosCmd(image string, capacity int64, partitions int, durable bool,
 	seed int64, list, metricsAddr string, args []string) error {
 	rounds := 0 // 0 = each drill's default
 	if len(args) > 1 {
@@ -56,7 +56,7 @@ func chaosCmd(image string, capacity int64, partitions int, device string, durab
 	// The serve child runs on the drill's image; the cluster roles take
 	// their subcommand first and need none of the store flags.
 	serveFlags := []string{"-image", image, "-capacity", fmt.Sprint(capacity),
-		"-partitions", fmt.Sprint(partitions), "-device", device}
+		"-partitions", fmt.Sprint(partitions)}
 	if durable {
 		serveFlags = append(serveFlags, "-durable")
 	}
@@ -73,7 +73,7 @@ func chaosCmd(image string, capacity int64, partitions int, device string, durab
 		var rep *chaos.Report
 		switch sc {
 		case chaos.Soak:
-			rep, err = soakImage(image, capacity, seed, device, durable, rounds, reg)
+			rep, err = soakImage(image, capacity, seed, durable, rounds, reg)
 		case chaos.Kill:
 			// A stale image would confuse the recovery scan with its old
 			// high-sequence buckets: the drill starts from a fresh one.
@@ -106,16 +106,16 @@ func chaosCmd(image string, capacity int64, partitions int, device string, durab
 // in each, verifying after every recovery that all acknowledged writes
 // survive. A stale image cannot be reused — its old high-sequence buckets
 // would confuse the recovery scan — so the file is recreated from scratch.
-func soakImage(image string, capacity int64, seed int64, device string, durable bool, cycles int, reg *obs.Registry) (*chaos.Report, error) {
+func soakImage(image string, capacity int64, seed int64, durable bool, cycles int, reg *obs.Registry) (*chaos.Report, error) {
 	if err := os.Remove(image); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("reformat %s: %w", image, err)
 	}
 	env := wallclock.New()
-	dev, closeDev, err := openWallclockDevice(env, device, image, capacity, durable)
+	dev, err := openWallclockDevice(env, image, capacity, durable)
 	if err != nil {
 		return nil, err
 	}
-	defer closeDev()
+	defer dev.Close()
 	var rep *chaos.Report
 	env.Spawn("soak", func(p runtime.Task) {
 		rep = chaos.RunSoak(p, chaos.SoakConfig{Env: env, Seed: seed, Cycles: cycles, Device: dev, Obs: reg})

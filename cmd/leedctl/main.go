@@ -21,7 +21,11 @@
 // All store commands except serve run on the deterministic sim kernel
 // (virtual time). serve runs the same store on the wall-clock runtime
 // backend: real goroutine clients issue concurrent PUT/GET/DEL against the
-// image and the reported latencies are real elapsed time.
+// image and the reported latencies are real elapsed time. Both drive the
+// image through the one file device, flashsim.AsyncFileDevice: its
+// submission queue offloads syscalls off the runtime lock on wall clock and
+// degenerates to zero-delay events on the sim kernel, so an image written
+// by either kind of command reads back in the other.
 //
 // serve -listen mounts the image behind a real TCP server (internal/server
 // over the transport seam): the engine's partitions are ring-routed, requests
@@ -73,7 +77,6 @@ func main() {
 	capacity := flag.Int64("capacity", 64<<20, "image capacity in bytes (fixed at init)")
 	clients := flag.Int("clients", 8, "concurrent client goroutines for serve")
 	seed := flag.Int64("seed", 1, "chaos: rng seed for the fault schedules")
-	device := flag.String("device", "async", "device path for serve and the kill/soak drills: sync (FileDevice) or async (submission-queue AsyncFileDevice)")
 	durable := flag.Bool("durable", false, "serve and the kill/soak drills: open the image O_DSYNC so every write completes at real device latency")
 	scenario := flag.String("scenario", "all", "chaos: comma-separated drill scenarios, or all (see usage)")
 	metricsAddr := flag.String("metrics-addr", "", "serve/chaos: HTTP address exposing /metrics (Prometheus text), /metrics.json, /metrics.raw.json, /attribution and /traces while the command runs (e.g. :9100)")
@@ -87,7 +90,7 @@ func main() {
 	}
 
 	if flag.Arg(0) == "chaos" {
-		if err := chaosCmd(*image, *capacity, *partitions, *device, *durable,
+		if err := chaosCmd(*image, *capacity, *partitions, *durable,
 			*seed, *scenario, *metricsAddr, flag.Args()); err != nil {
 			fatal(err)
 		}
@@ -96,30 +99,30 @@ func main() {
 
 	if flag.Arg(0) == "serve" {
 		if *listen != "" {
-			if err := serveListen(*image, *capacity, *listen, *partitions, *device, *durable, *metricsAddr); err != nil {
+			if err := serveListen(*image, *capacity, *listen, *partitions, *durable, *metricsAddr); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		if err := serve(*image, *capacity, *clients, *device, *durable, *metricsAddr, flag.Args()); err != nil {
+		if err := serve(*image, *capacity, *clients, *durable, *metricsAddr, flag.Args()); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	k := sim.New()
 	defer k.Close()
-	fileDev, err := flashsim.OpenFileDevice(k, *image, *capacity)
+	dev, err := flashsim.OpenAsyncFileDevice(k, *image, *capacity, flashsim.AsyncOptions{})
 	if err != nil {
 		fatal(err)
 	}
-	defer fileDev.Close()
+	defer dev.Close()
 
 	// Geometry is a pure function of capacity, so every invocation
 	// reconstructs the same layout.
 	geo := core.PlanPartition(*capacity, 32, 1024, core.PlanOpts{})
 	store := core.NewStore(core.StoreConfigFor(geo, core.Config{
 		Env:    k,
-		Device: fileDev,
+		Device: dev,
 	}))
 
 	args := flag.Args()
@@ -224,9 +227,9 @@ func usage() {
     leedctl -image FILE load [N]                       bulk-load N objects (default 10000)
 
   wall-clock commands (require -image; flags go before the subcommand):
-    leedctl -image FILE [-clients N] [-device sync|async] [-durable] serve [N]
+    leedctl -image FILE [-clients N] [-durable] serve [N]
                                                        in-process concurrent serving
-    leedctl -image FILE -listen ADDR [-partitions N] [-device sync|async] [-durable] serve
+    leedctl -image FILE -listen ADDR [-partitions N] [-durable] serve
                                                        TCP server; SIGINT/SIGTERM drains
 
   fault drills (flags go before the subcommand; exit != 0 on any violation):
@@ -239,12 +242,12 @@ func usage() {
                          TCP server behind a fault proxy
           kill           SIGKILL a serve child on -image mid-load, restart it,
                          verify zero acked-write loss (-capacity, -partitions,
-                         -device, -durable shape the child)
+                         -durable shape the child)
           proc-kill-tail, proc-kill-head, proc-partition
                          manager + node children; SIGKILL or partition a live
                          chain member
           soak           store-level power-cut soak; REFORMATS -image
-                         (-device, -durable)
+                         (-durable)
 
   multi-process cluster (subcommand first; each role owns its flags):
     leedctl manager [-listen ADDR] [-r N] [-numpart N] [-hb-timeout D]
@@ -270,36 +273,25 @@ flags:
 	flag.PrintDefaults()
 }
 
-// openWallclockDevice opens the image through the requested device path:
-// "sync" is the synchronous FileDevice (one in-context syscall per op),
-// "async" the submission-queue AsyncFileDevice. durable opens the image
-// O_DSYNC so writes complete at device latency instead of page-cache
-// latency.
-func openWallclockDevice(env *wallclock.Env, kind, image string, capacity int64, durable bool) (flashsim.Device, func() error, error) {
-	switch kind {
-	case "sync":
-		d, err := flashsim.OpenFileDeviceOpts(env, image, capacity, flashsim.FileOptions{Durable: durable})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := d.SetSyncReads(true); err != nil {
-			return nil, nil, err
-		}
-		return d, d.Close, nil
-	case "async":
-		d, err := flashsim.OpenAsyncFileDevice(env, image, capacity, flashsim.AsyncOptions{
-			Workers: 8, Durable: durable,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := d.SetSyncReads(true); err != nil {
-			return nil, nil, err
-		}
-		return d, d.Close, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown -device %q (want sync or async)", kind)
+// deviceLabel names the image device in every leed_device_* series.
+const deviceLabel = "async"
+
+// openWallclockDevice opens the image for the wall-clock commands: the
+// submission-queue device with 8 workers and the mmap read lane. durable
+// opens the image O_DSYNC so writes complete at device latency instead of
+// page-cache latency.
+func openWallclockDevice(env *wallclock.Env, image string, capacity int64, durable bool) (*flashsim.AsyncFileDevice, error) {
+	d, err := flashsim.OpenAsyncFileDevice(env, image, capacity, flashsim.AsyncOptions{
+		Workers: 8, Durable: durable,
+	})
+	if err != nil {
+		return nil, err
 	}
+	if err := d.SetSyncReads(true); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // printSnapshot renders the registry's final state: the unified metrics
@@ -317,7 +309,7 @@ func printSnapshot(reg *obs.Registry) {
 // serve runs the store on the wall-clock backend: N client goroutines issue
 // a mixed PUT/GET/DEL stream against the image concurrently, then the store
 // is flushed so a later invocation (any command) recovers the result.
-func serve(image string, capacity int64, clients int, device string, durable bool, metricsAddr string, args []string) error {
+func serve(image string, capacity int64, clients int, durable bool, metricsAddr string, args []string) error {
 	totalOps := int64(20000)
 	if len(args) > 1 {
 		fmt.Sscanf(args[1], "%d", &totalOps)
@@ -327,14 +319,14 @@ func serve(image string, capacity int64, clients int, device string, durable boo
 	}
 
 	env := wallclock.New()
-	dev, closeDev, err := openWallclockDevice(env, device, image, capacity, durable)
+	dev, err := openWallclockDevice(env, image, capacity, durable)
 	if err != nil {
 		return err
 	}
-	defer closeDev()
+	defer dev.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 16, 256)
-	flashsim.Observe(dev, reg, tr, device)
+	dev.Observe(reg, tr, deviceLabel)
 	srv, err := obs.ServeMetrics(metricsAddr, reg.Raw, tr)
 	if err != nil {
 		return err
@@ -429,19 +421,19 @@ func serve(image string, capacity int64, clients int, device string, durable boo
 // SIGTERM starts a graceful drain. In-flight requests complete, connections
 // close, and every partition's superblock is flushed so the next invocation
 // recovers the served state.
-func serveListen(image string, capacity int64, listen string, partitions int, device string, durable bool, metricsAddr string) error {
+func serveListen(image string, capacity int64, listen string, partitions int, durable bool, metricsAddr string) error {
 	if partitions < 1 {
 		return fmt.Errorf("serve -listen needs -partitions >= 1")
 	}
 	env := wallclock.New()
-	dev, closeDev, err := openWallclockDevice(env, device, image, capacity, durable)
+	dev, err := openWallclockDevice(env, image, capacity, durable)
 	if err != nil {
 		return err
 	}
-	defer closeDev()
+	defer dev.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 16, 256)
-	flashsim.Observe(dev, reg, tr, device)
+	dev.Observe(reg, tr, deviceLabel)
 	msrv, err := obs.ServeMetrics(metricsAddr, reg.Raw, tr)
 	if err != nil {
 		return err

@@ -23,7 +23,7 @@ func TestMain(m *testing.M) {
 func TestChaosKill(t *testing.T) {
 	t.Setenv("LEEDCTL_CHILD", "1")
 	img := filepath.Join(t.TempDir(), "kill.img")
-	if err := chaosCmd(img, 64<<20, 4, "async", false, 1, "kill", "", nil); err != nil {
+	if err := chaosCmd(img, 64<<20, 4, false, 1, "kill", "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,7 +31,7 @@ type Backend interface {
 // Gate serializes compute onto a core; backends use it as their core.Exec.
 type Gate struct {
 	Core *platform.Core
-	res  runtime.Resource
+	res  *runtime.Resource
 }
 
 // NewGate wraps a core.
@@ -88,7 +88,7 @@ type ServerStats struct {
 type Server struct {
 	cfg    ServerConfig
 	k      sim.Runner
-	queues []runtime.Queue
+	queues []*runtime.Queue
 	stats  ServerStats
 	o      *serverObs
 }

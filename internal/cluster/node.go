@@ -144,7 +144,7 @@ const partTagKey = "\x00leed:partition"
 // waited for the core — the "node" stage's queue component.
 type gate struct {
 	core *platform.Core
-	res  runtime.Resource
+	res  *runtime.Resource
 }
 
 func (g *gate) run(p runtime.Task, cycles int64) runtime.Time {

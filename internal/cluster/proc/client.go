@@ -247,7 +247,7 @@ func (c *Client) do(t runtime.Task, op rpcproto.Op, key, val []byte) (*rpcproto.
 			req.TraceFlags = rpcproto.TraceSampled
 		}
 		sent := t.Now()
-		resp, err := c.peer(addr).DoView(t, req)
+		resp, err := c.peer(addr).Do(t, req)
 		if err != nil {
 			if isWrite && !server.WriteNotExecuted(err) {
 				return nil, fmt.Errorf("%w: %v", errAmbiguous, err)

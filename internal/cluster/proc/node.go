@@ -452,7 +452,7 @@ func (n *Node) runCopy(t runtime.Task, cmd copyKey) {
 				Partition: cmd.part, Epoch: n.Epoch(),
 				Key: it.key, Value: it.val,
 			}
-			resp, err := rc.DoView(t, req)
+			resp, err := rc.Do(t, req)
 			if err != nil || resp.Status != rpcproto.StatusOK {
 				left = append(left, it)
 			}
@@ -626,7 +626,7 @@ func (n *Node) handleWrite(t runtime.Task, req *rpcproto.Request, resp *rpcproto
 	fwdReq := *req
 	fwdReq.Hop++
 	fstart := t.Now()
-	dresp, derr := n.peer(addr).DoView(t, &fwdReq)
+	dresp, derr := n.peer(addr).Do(t, &fwdReq)
 	if derr != nil {
 		resp.Status = rpcproto.StatusErr
 		return scratch

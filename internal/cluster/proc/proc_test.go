@@ -170,7 +170,7 @@ func awaitRunningView(p runtime.Task, cl *Client, n int, budget time.Duration) b
 func nodesOnEpoch(p runtime.Task, cl *Client, epoch uint64) bool {
 	for _, addr := range cl.addrs {
 		cl.nextID++
-		resp, err := cl.peer(addr).DoView(p, &rpcproto.Request{
+		resp, err := cl.peer(addr).Do(p, &rpcproto.Request{
 			ID: cl.nextID, Op: rpcproto.OpGet, Epoch: epoch, Key: []byte("epoch-probe")})
 		if err != nil || resp.Epoch != epoch {
 			return false

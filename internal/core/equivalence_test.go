@@ -206,12 +206,12 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestWallclockRecoveryRoundTrip checks the superblock flush/recover path on
-// the wall-clock backend against a FileDevice, mirroring what leedctl serve
-// does between invocations.
+// the wall-clock backend against an image file, mirroring what leedctl
+// serve does between invocations.
 func TestWallclockRecoveryRoundTrip(t *testing.T) {
 	img := t.TempDir() + "/store.img"
-	open := func(env runtime.Env) (*Store, *flashsim.FileDevice) {
-		dev, err := flashsim.OpenFileDevice(env, img, 16<<20)
+	open := func(env runtime.Env) (*Store, *flashsim.AsyncFileDevice) {
+		dev, err := flashsim.OpenAsyncFileDevice(env, img, 16<<20, flashsim.AsyncOptions{})
 		if err != nil {
 			t.Fatalf("open image: %v", err)
 		}

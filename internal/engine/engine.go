@@ -111,7 +111,7 @@ type Partition struct {
 	ID     int
 	SSD    int
 	Store  *core.Store
-	tokens runtime.Resource
+	tokens *runtime.Resource
 }
 
 // TokenCost returns the admission cost of an operation: one token per NVMe
@@ -211,7 +211,7 @@ type EngineStats struct {
 // coreGate serializes store compute phases onto one CPU core.
 type coreGate struct {
 	core *platform.Core
-	res  runtime.Resource
+	res  *runtime.Resource
 }
 
 // Compute implements core.Exec.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"syscall"
 
 	"leed/internal/obs"
 	"leed/internal/runtime"
@@ -17,9 +18,6 @@ type AsyncOptions struct {
 	Workers int
 	// MaxBatch caps ops dispatched to one worker as a batch. Default 32.
 	MaxBatch int
-	// CoalesceBytes caps how many payload bytes one merged write syscall may
-	// carry. Default 1 MiB.
-	CoalesceBytes int
 	// Durable opens the image O_DSYNC so every write syscall completes at
 	// device latency (see openImage). Coalescing then amortizes one durable
 	// write over the whole merged run.
@@ -33,14 +31,33 @@ func (o *AsyncOptions) setDefaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
 	}
-	if o.CoalesceBytes <= 0 {
-		o.CoalesceBytes = 1 << 20
-	}
 }
 
-// AsyncFileDevice is FileDevice's submission-queue sibling: the same sparse
-// image file, driven the way the paper's prototype drives its SSDs through
-// SPDK. Submit only appends the op to a software submission queue; batches
+// coalesceBytes caps how many payload bytes one merged write syscall may
+// carry.
+const coalesceBytes = 1 << 20
+
+// openImage opens (or creates) a sparse image file. With durable set the
+// file is opened O_DSYNC, so every write syscall returns only after the data
+// reaches the medium — the latency profile of a real flash device with
+// forced unit access, rather than of the page cache.
+func openImage(path string, durable bool) (*os.File, error) {
+	flags := os.O_RDWR | os.O_CREATE
+	if durable {
+		flags |= syscall.O_DSYNC
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("flashsim: open image: %w", err)
+	}
+	return f, nil
+}
+
+// AsyncFileDevice is a functional device backed by a sparse image file on
+// disk, so a store's contents survive process restarts and the recovery
+// path (§3.2.3) can be exercised across real invocations (see cmd/leedctl).
+// It is driven the way the paper's prototype drives its SSDs through SPDK:
+// Submit only appends the op to a software submission queue; batches
 // of queued ops are handed to runtime.Env.Offload, so on the wallclock
 // backend the pread/pwrite syscalls run on pool goroutines
 // OUTSIDE the big runtime lock and overlap both each other and the store's
@@ -127,7 +144,7 @@ func (d *AsyncFileDevice) putBatch(b *asyncBatch) {
 
 // popFront drops the first n entries of q by shifting the rest down, so the
 // queue keeps its backing array and appends stop reallocating (reslicing
-// forward would walk the base off the array, as queue.Put's comment notes).
+// forward would walk the base off the array).
 func popFront(q []*Op, n int) []*Op {
 	m := copy(q, q[n:])
 	clear(q[m:])
@@ -336,7 +353,7 @@ func (d *AsyncFileDevice) runBatch(b *asyncBatch) {
 			j, total := i+1, len(op.Data)
 			for j < len(b.ops) && b.ops[j].Kind == OpWrite &&
 				b.ops[j].Offset == b.ops[j-1].Offset+int64(len(b.ops[j-1].Data)) &&
-				total+len(b.ops[j].Data) <= d.opt.CoalesceBytes {
+				total+len(b.ops[j].Data) <= coalesceBytes {
 				total += len(b.ops[j].Data)
 				j++
 			}

@@ -1,7 +1,7 @@
 // Package flashsim models NVMe flash devices: an SSD with bounded internal
 // parallelism, kind- and size-dependent service times, and a real (sparse)
 // byte backing store, plus a zero-latency MemDevice for functional tests and
-// a file-backed FileDevice for persistence. Devices expose the asynchronous
+// a file-backed AsyncFileDevice for persistence. Devices expose the asynchronous
 // submit/complete interface a kernel-bypass stack like SPDK would: Submit
 // never blocks, and completion is signalled through a runtime.Event.
 //

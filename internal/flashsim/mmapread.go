@@ -81,34 +81,3 @@ func (d *AsyncFileDevice) TryReadAt(dst []byte, off int64) bool {
 	d.stats.record(OpRead, len(dst), 0, 0)
 	return true
 }
-
-// SetSyncReads is the FileDevice flavor of the mmap read lane (see the
-// AsyncFileDevice method).
-func (d *FileDevice) SetSyncReads(on bool) error {
-	if on && d.mmap == nil {
-		m, err := mmapImage(d.f, d.capacity)
-		if err != nil {
-			return err
-		}
-		d.mmap = m
-	}
-	d.syncReads = on
-	return nil
-}
-
-// TryReadAt implements SyncReader. FileDevice executes queued ops strictly
-// in submit order, so an inline read may only overtake the queue when no
-// write or flush is outstanding — it tracks no ranges, so the guard is
-// conservative: any pending write declines the fast path.
-func (d *FileDevice) TryReadAt(dst []byte, off int64) bool {
-	if !d.syncReads || d.queuedWrites > 0 {
-		return false
-	}
-	end := off + int64(len(dst))
-	if off < 0 || end > d.capacity {
-		return false
-	}
-	copy(dst, d.mmap[off:end])
-	d.stats.record(OpRead, len(dst), 0, 0)
-	return true
-}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMmapReadLaneCoherent pins the inline read contract on the file
-// devices: after a write completes, TryReadAt returns the written bytes
+// device: after a write completes, TryReadAt returns the written bytes
 // (MAP_SHARED coherence with pwrite), unwritten sparse regions read as
 // zeros, and out-of-range reads decline rather than fault.
 func TestMmapReadLaneCoherent(t *testing.T) {
@@ -116,36 +116,4 @@ func TestMmapReadLaneOrdering(t *testing.T) {
 	if d.TryReadAt(make([]byte, 8), 0) {
 		t.Fatal("inline read must decline after SetSyncReads(false)")
 	}
-}
-
-// TestFileDeviceMmapReadLane pins the synchronous sibling's conservative
-// guard: inline reads serve only when no write or flush is queued.
-func TestFileDeviceMmapReadLane(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dev.img")
-	k := sim.New()
-	defer k.Close()
-	d, err := OpenFileDevice(k, path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.SetSyncReads(true); err != nil {
-		t.Fatal(err)
-	}
-
-	k.Go("io", func(p *sim.Proc) {
-		w := &Op{Kind: OpWrite, Offset: 0, Data: []byte("sync"), Done: p.Kernel().NewEvent()}
-		d.Submit(w)
-		if d.TryReadAt(make([]byte, 4), 1<<18) {
-			t.Error("inline read with a queued write must decline (FileDevice tracks no ranges)")
-		}
-		p.Wait(w.Done)
-		got := make([]byte, 4)
-		if !d.TryReadAt(got, 0) {
-			t.Error("inline read declined on an idle device")
-		} else if string(got) != "sync" {
-			t.Errorf("inline read %q, want %q", got, "sync")
-		}
-	})
-	k.Run()
 }

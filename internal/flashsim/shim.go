@@ -9,7 +9,7 @@ import (
 
 // LatencyShim adds an SSD performance model (service units, kind- and
 // size-dependent service time) in front of any functional device, e.g. a
-// FileDevice. Data still lands in the inner device; timing follows the
+// AsyncFileDevice. Data still lands in the inner device; timing follows the
 // Spec. This lets cmd/leedctl benchmark a persistent image with DCT983-like
 // latencies.
 type LatencyShim struct {

@@ -172,8 +172,8 @@ type Endpoint struct {
 	bytesPerSec int64
 	txFree      runtime.Time // egress link free-at time
 	rxFree      runtime.Time // ingress link free-at time
-	rx          runtime.Queue
-	orphans     []runtime.Queue // queues abandoned by ResetRX, kept for Flood
+	rx          *runtime.Queue
+	orphans     []*runtime.Queue // queues abandoned by ResetRX, kept for Flood
 	down        bool
 	stats       Stats
 }
@@ -198,7 +198,7 @@ func (e *Endpoint) Addr() Addr { return e.addr }
 
 // RX returns the two-sided receive queue that polling cores drain. Items are
 // *Message.
-func (e *Endpoint) RX() runtime.Queue { return e.rx }
+func (e *Endpoint) RX() *runtime.Queue { return e.rx }
 
 // ResetRX abandons the receive queue and installs a fresh empty one,
 // modeling DRAM loss on a crash: packets queued but not yet polled vanish,

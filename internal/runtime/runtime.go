@@ -16,6 +16,14 @@
 // exactly the invariant the sim kernel has always provided — while the
 // wallclock backend still overlaps timers, device I/O completions, and
 // sleeping tasks in real time.
+//
+// A backend supplies only the clock, the spawner, Task.Prepare/Park with
+// its Ticket, and Event. Queue and Resource are written once in this
+// package over that seam, so both backends run one algorithm. Event stays
+// per backend because its fire path is where each backend's scheduler
+// lives: the sim kernel schedules callbacks as heap events, while the
+// wallclock backend carries the payload in its run-queue entry so a fire
+// allocates nothing.
 package runtime
 
 import "leed/internal/obs"
@@ -55,9 +63,9 @@ type Env interface {
 	// MakeEvent returns an unfired one-shot completion event.
 	MakeEvent() Event
 	// MakeQueue returns an empty unbounded FIFO queue.
-	MakeQueue() Queue
+	MakeQueue() *Queue
 	// MakeResource returns a counting semaphore with the given capacity.
-	MakeResource(capacity int64) Resource
+	MakeResource(capacity int64) *Resource
 	// MakeHistogram returns an empty latency histogram.
 	MakeHistogram() *obs.Histogram
 }
@@ -115,49 +123,4 @@ type Event interface {
 	// OnFire registers fn to run (in scheduler context) when the event
 	// fires. If the event already fired, fn is scheduled immediately.
 	OnFire(fn func(val any))
-}
-
-// Queue is an unbounded FIFO connecting tasks: producers Put without
-// blocking, consumers Get and block while the queue is empty.
-type Queue interface {
-	// Put appends v and wakes one blocked getter, if any.
-	Put(v any)
-	// TryGet pops the head item without blocking. ok is false when empty.
-	TryGet() (v any, ok bool)
-	// Get pops the head item, blocking the task while the queue is empty.
-	// Getters are served in FIFO order.
-	Get(t Task) any
-	// Peek returns the head item without removing it.
-	Peek() (v any, ok bool)
-	// Len returns the number of queued items.
-	Len() int
-	// MaxLen returns the high-water mark of the queue length.
-	MaxLen() int
-}
-
-// Resource is a counting semaphore: the standard model for anything with
-// bounded concurrency (SSD service units, admission tokens, DMA engines).
-// Waiters are granted strictly in FIFO order, so a large request at the head
-// blocks smaller ones behind it — matching hardware queues.
-type Resource interface {
-	// Acquire blocks the task until n units are available and all earlier
-	// waiters have been served.
-	Acquire(t Task, n int64)
-	// TryAcquire takes n units if immediately available and nobody is
-	// queued ahead. It reports whether the units were taken.
-	TryAcquire(n int64) bool
-	// Release returns n units and grants as many queued waiters as now
-	// fit, in FIFO order.
-	Release(n int64)
-	// Capacity returns the configured capacity.
-	Capacity() int64
-	// Avail returns the currently available units.
-	Avail() int64
-	// InUse returns capacity minus available units.
-	InUse() int64
-	// Waiting returns the number of queued acquirers.
-	Waiting() int
-	// Utilization returns the time-averaged fraction of capacity in use
-	// since the resource was created.
-	Utilization() float64
 }

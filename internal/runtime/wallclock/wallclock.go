@@ -135,12 +135,10 @@ type offloadJob struct {
 
 // Compile-time interface checks.
 var (
-	_ runtime.Env      = (*Env)(nil)
-	_ runtime.Task     = (*task)(nil)
-	_ runtime.Ticket   = (*ticket)(nil)
-	_ runtime.Event    = (*event)(nil)
-	_ runtime.Queue    = (*queue)(nil)
-	_ runtime.Resource = (*resource)(nil)
+	_ runtime.Env    = (*Env)(nil)
+	_ runtime.Task   = (*task)(nil)
+	_ runtime.Ticket = (*ticket)(nil)
+	_ runtime.Event  = (*event)(nil)
 )
 
 // New returns a wall-clock environment whose clock starts at zero now.
@@ -359,7 +357,7 @@ func (e *Env) offloadWorker() {
 			e.offcond.Wait()
 			e.offidle--
 		}
-		// Shift down rather than reslice forward, as queue.Put does, so
+		// Shift down rather than reslice forward, as runtime.Queue does, so
 		// Offload's append reuses the backing array.
 		job := e.offjobs[0]
 		n := copy(e.offjobs, e.offjobs[1:])
@@ -383,12 +381,10 @@ func (e *Env) MakeEvent() runtime.Event {
 }
 
 // MakeQueue implements runtime.Env.
-func (e *Env) MakeQueue() runtime.Queue { return &queue{} }
+func (e *Env) MakeQueue() *runtime.Queue { return new(runtime.Queue) }
 
 // MakeResource implements runtime.Env.
-func (e *Env) MakeResource(capacity int64) runtime.Resource {
-	return &resource{env: e, capacity: capacity, avail: capacity, busySince: e.Now()}
-}
+func (e *Env) MakeResource(capacity int64) *runtime.Resource { return runtime.NewResource(capacity) }
 
 // MakeHistogram implements runtime.Env.
 func (e *Env) MakeHistogram() *obs.Histogram { return obs.NewHistogram() }
@@ -547,178 +543,4 @@ func (e *event) OnFire(fn func(val any)) {
 		return
 	}
 	e.cbs = append(e.cbs, fn)
-}
-
-// queue is the wall-clock runtime.Queue, guarded by env.mu like sim's is by
-// the kernel baton.
-type queue struct {
-	items   []any
-	head    int
-	getters []*ticket
-	maxLen  int
-}
-
-// Put appends v and wakes one blocked getter, if any.
-func (q *queue) Put(v any) {
-	q.items = append(q.items, v)
-	if n := q.Len(); n > q.maxLen {
-		q.maxLen = n
-	}
-	if n := len(q.getters); n > 0 {
-		tk := q.getters[0]
-		// Shift down instead of reslicing forward: q.getters[1:] would walk
-		// the slice base off its backing array, so the next append allocates
-		// a fresh one — once per blocking Get, on the serve hot path.
-		copy(q.getters, q.getters[1:])
-		q.getters[n-1] = nil
-		q.getters = q.getters[:n-1]
-		tk.Wake()
-	}
-}
-
-// TryGet pops the head item without blocking.
-func (q *queue) TryGet() (any, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	v := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v, true
-}
-
-// Get pops the head item, blocking the task while the queue is empty.
-func (q *queue) Get(t runtime.Task) any {
-	tt := t.(*task)
-	for {
-		if v, ok := q.TryGet(); ok {
-			return v
-		}
-		tk := tt.Prepare().(*ticket)
-		q.getters = append(q.getters, tk)
-		tt.Park()
-	}
-}
-
-// Peek returns the head item without removing it.
-func (q *queue) Peek() (any, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	return q.items[q.head], true
-}
-
-// Len returns the number of queued items.
-func (q *queue) Len() int { return len(q.items) - q.head }
-
-// MaxLen returns the high-water mark of the queue length.
-func (q *queue) MaxLen() int { return q.maxLen }
-
-// resWaiter is one task waiting for n units of a resource.
-type resWaiter struct {
-	tk      *ticket
-	n       int64
-	granted *bool
-}
-
-// resource is the wall-clock runtime.Resource: a FIFO counting semaphore
-// with the same grant algorithm and busy-time accounting as sim's.
-type resource struct {
-	env         *Env
-	capacity    int64
-	avail       int64
-	waiters     []resWaiter
-	busySince   runtime.Time
-	busyIntegal runtime.Time
-}
-
-// Capacity returns the configured capacity.
-func (r *resource) Capacity() int64 { return r.capacity }
-
-// Avail returns the currently available units.
-func (r *resource) Avail() int64 { return r.avail }
-
-// InUse returns capacity minus available units.
-func (r *resource) InUse() int64 { return r.capacity - r.avail }
-
-func (r *resource) account() {
-	now := r.env.Now()
-	r.busyIntegal += runtime.Time(r.InUse()) * (now - r.busySince)
-	r.busySince = now
-}
-
-// Utilization returns the time-averaged fraction of capacity in use.
-func (r *resource) Utilization() float64 {
-	r.account()
-	elapsed := r.env.Now()
-	if elapsed == 0 || r.capacity == 0 {
-		return 0
-	}
-	return float64(r.busyIntegal) / (float64(elapsed) * float64(r.capacity))
-}
-
-// Waiting returns the number of queued acquirers.
-func (r *resource) Waiting() int { return len(r.waiters) }
-
-// TryAcquire takes n units if immediately available and nobody is queued
-// ahead.
-func (r *resource) TryAcquire(n int64) bool {
-	if len(r.waiters) > 0 || r.avail < n {
-		return false
-	}
-	r.account()
-	r.avail -= n
-	return true
-}
-
-// Acquire blocks the task until n units are available and all earlier
-// waiters have been served.
-func (r *resource) Acquire(t runtime.Task, n int64) {
-	tt := t.(*task)
-	if n > r.capacity {
-		panic("wallclock: Resource.Acquire exceeds capacity")
-	}
-	if r.TryAcquire(n) {
-		return
-	}
-	granted := false
-	r.waiters = append(r.waiters, resWaiter{tk: tt.Prepare().(*ticket), n: n, granted: &granted})
-	for !granted {
-		tt.Park()
-		if !granted {
-			// Spurious wake; re-park with a fresh ticket wired to the same
-			// waiter entry.
-			for i := range r.waiters {
-				if r.waiters[i].granted == &granted {
-					r.waiters[i].tk = tt.Prepare().(*ticket)
-				}
-			}
-		}
-	}
-}
-
-// Release returns n units and grants as many queued waiters as now fit, in
-// FIFO order.
-func (r *resource) Release(n int64) {
-	r.account()
-	r.avail += n
-	if r.avail > r.capacity {
-		panic("wallclock: Resource.Release over capacity")
-	}
-	for len(r.waiters) > 0 && r.waiters[0].n <= r.avail {
-		w := r.waiters[0]
-		// Shift down, as in queue.Put: reslicing forward would make every
-		// future append reallocate the waiter list.
-		n := len(r.waiters)
-		copy(r.waiters, r.waiters[1:])
-		r.waiters[n-1] = resWaiter{}
-		r.waiters = r.waiters[:n-1]
-		r.avail -= w.n
-		*w.granted = true
-		w.tk.Wake()
-	}
 }

@@ -70,58 +70,6 @@ func TestEventOnFire(t *testing.T) {
 	}
 }
 
-func TestQueueBlockingGet(t *testing.T) {
-	env := New()
-	q := env.MakeQueue()
-	var got []any
-	env.Spawn("consumer", func(tk runtime.Task) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(tk))
-		}
-	})
-	env.Spawn("producer", func(tk runtime.Task) {
-		for i := 0; i < 3; i++ {
-			tk.Sleep(runtime.Millisecond / 2)
-			q.Put(i)
-		}
-	})
-	env.Wait()
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("consumed %v, want [0 1 2]", got)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue length %d after drain", q.Len())
-	}
-}
-
-func TestResourceBoundsConcurrency(t *testing.T) {
-	env := New()
-	res := env.MakeResource(2)
-	var inside, maxInside atomic.Int64
-	for i := 0; i < 8; i++ {
-		env.Spawn("worker", func(tk runtime.Task) {
-			res.Acquire(tk, 1)
-			n := inside.Add(1)
-			for {
-				m := maxInside.Load()
-				if n <= m || maxInside.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			tk.Sleep(runtime.Millisecond)
-			inside.Add(-1)
-			res.Release(1)
-		})
-	}
-	env.Wait()
-	if got := maxInside.Load(); got > 2 {
-		t.Fatalf("resource admitted %d concurrent holders, capacity 2", got)
-	}
-	if res.Avail() != 2 || res.Waiting() != 0 {
-		t.Fatalf("resource not fully released: avail=%d waiting=%d", res.Avail(), res.Waiting())
-	}
-}
-
 func TestTicketParkWake(t *testing.T) {
 	env := New()
 	var woken bool

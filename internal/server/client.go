@@ -50,7 +50,7 @@ type call struct {
 type Client struct {
 	env  runtime.Env
 	conn transport.Conn
-	pipe runtime.Resource
+	pipe *runtime.Resource
 
 	nextID  uint64
 	pending map[uint64]*call

@@ -18,11 +18,6 @@ import (
 // once the breaker lets traffic through again.
 var ErrBreakerOpen = errors.New("client: circuit breaker open")
 
-// errStaleEpoch guards against a response crossing a reconnect boundary:
-// the response echoes the connection epoch its request carried, and a
-// mismatch means it answers a request from a previous connection's life.
-var errStaleEpoch = errors.New("client: response from stale connection epoch")
-
 // ReliableConfig describes a ReliableClient.
 type ReliableConfig struct {
 	Env runtime.Env
@@ -93,7 +88,7 @@ type ReliableClient struct {
 	rng *rand.Rand
 
 	cl         *Client
-	epoch      uint64        // bumped per successful (re)connect; rides req.Epoch
+	dials      int64         // successful dials, the first included
 	connecting runtime.Event // non-nil while a dial is in flight: single-flight gate
 
 	// Circuit breaker.
@@ -173,9 +168,6 @@ func retrySafe(op rpcproto.Op, err error) bool {
 	if errors.As(err, &ef) {
 		return ef.Code == rpcproto.StatusNack // drain/view NACK: not executed
 	}
-	if errors.Is(err, errStaleEpoch) {
-		return op == rpcproto.OpGet // stale answer, outcome unknown
-	}
 	// Everything else — deadline, connection death, transport teardown —
 	// is ambiguous: the request may have executed. Only idempotent ops go
 	// again.
@@ -183,25 +175,11 @@ func retrySafe(op rpcproto.Op, err error) bool {
 }
 
 // Do issues req with deadlines, retries, and reconnects per the config.
-// Task context. Do owns req.Epoch: it stamps the connection epoch into it
-// and rejects responses whose echo mismatches (a reply crossing a reconnect
-// boundary). Callers that carry a cluster view epoch in req.Epoch must use
-// DoView instead.
+// Task context. req.Epoch is the caller's: it carries a cluster view epoch
+// end to end (nodes validate it and NACK with their newer epoch on
+// mismatch, §3.8.1). A response cannot cross a reconnect, because each
+// reconnect builds a fresh pipelined Client with its own ID demux.
 func (rc *ReliableClient) Do(t runtime.Task, req *rpcproto.Request) (*rpcproto.Response, error) {
-	return rc.do(t, req, true)
-}
-
-// DoView issues req like Do but leaves req.Epoch untouched: the field
-// carries the caller's cluster view epoch end to end (nodes validate it and
-// NACK with their newer epoch on mismatch, §3.8.1), so the connection-epoch
-// stamp and stale-echo check are skipped. Cross-reconnect confusion is
-// already impossible at this layer — each reconnect builds a fresh pipelined
-// Client with its own ID demux. Task context.
-func (rc *ReliableClient) DoView(t runtime.Task, req *rpcproto.Request) (*rpcproto.Response, error) {
-	return rc.do(t, req, false)
-}
-
-func (rc *ReliableClient) do(t runtime.Task, req *rpcproto.Request, stampEpoch bool) (*rpcproto.Response, error) {
 	var lastErr error
 	var hint runtime.Time
 	for attempt := 1; attempt <= rc.cfg.MaxAttempts; attempt++ {
@@ -217,24 +195,14 @@ func (rc *ReliableClient) do(t runtime.Task, req *rpcproto.Request, stampEpoch b
 			// close for a while; surface immediately.
 			return nil, err
 		}
-		cl, epoch, err := rc.ensureConn(t)
+		cl, err := rc.ensureConn(t)
 		if err != nil {
 			rc.breakerRecord(t, false)
 			lastErr = err
 			continue // dial failed: nothing sent, always safe to retry
 		}
-		if stampEpoch {
-			req.Epoch = epoch
-		}
 		resp, err := cl.DoDeadline(t, req, rc.cfg.Deadline)
 		if err == nil {
-			if stampEpoch && resp.Epoch != epoch {
-				lastErr = errStaleEpoch
-				if !retrySafe(req.Op, lastErr) {
-					return nil, lastErr
-				}
-				continue
-			}
 			rc.breakerRecord(t, true)
 			return resp, nil
 		}
@@ -314,10 +282,10 @@ func (rc *ReliableClient) backoff(attempt int, hint runtime.Time) runtime.Time {
 
 // ensureConn returns a healthy client, dialing (single-flight) if the
 // current one is dead or absent. Task context.
-func (rc *ReliableClient) ensureConn(t runtime.Task) (*Client, uint64, error) {
+func (rc *ReliableClient) ensureConn(t runtime.Task) (*Client, error) {
 	for {
 		if rc.cl != nil && rc.cl.Err() == nil {
-			return rc.cl, rc.epoch, nil
+			return rc.cl, nil
 		}
 		if rc.connecting != nil {
 			// Another task is dialing; piggyback on its outcome rather than
@@ -334,17 +302,17 @@ func (rc *ReliableClient) ensureConn(t runtime.Task) (*Client, uint64, error) {
 		rc.connecting = nil
 		if err != nil {
 			ev.Fire(nil)
-			return nil, 0, err
+			return nil, err
 		}
-		rc.epoch++
-		if rc.epoch > 1 {
+		rc.dials++
+		if rc.dials > 1 {
 			rc.s.Reconnects++
 			rc.o.reconnects.Inc()
 		}
 		rc.cl = NewClientTraced(rc.env, conn, rc.cfg.Depth, rc.cfg.Tracer)
 		rc.cl.SetChainFwd(rc.cfg.ChainFwd)
 		ev.Fire(nil)
-		return rc.cl, rc.epoch, nil
+		return rc.cl, nil
 	}
 }
 

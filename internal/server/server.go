@@ -184,11 +184,11 @@ type reqWork struct {
 // serverConn is the server side of one accepted connection.
 type serverConn struct {
 	conn       transport.Conn
-	pipe       runtime.Resource // pipeline admission window
-	workQ      runtime.Queue    // admitted *reqWork, consumed by workers
-	workers    int              // workers spawned, grown lazily to the window
-	free       []*reqWork       // recycled work items
-	inflight   int              // requests executing right now
+	pipe       *runtime.Resource // pipeline admission window
+	workQ      *runtime.Queue    // admitted *reqWork, consumed by workers
+	workers    int               // workers spawned, grown lazily to the window
+	free       []*reqWork        // recycled work items
+	inflight   int               // requests executing right now
 	closed     bool
 	readerDone bool
 	lastActive runtime.Time // last request arrival, for idle reaping

@@ -6,15 +6,13 @@ import (
 )
 
 // The DES kernel is the deterministic implementation of the runtime seam:
-// Kernel is an Env, Proc is a Task, and the sim sync primitives are the
-// backend's events, queues, and resources.
+// Kernel is an Env, Proc is a Task, and Event is the backend's completion
+// signal. Queues and resources are runtime's own, parked through Proc.
 var (
-	_ runtime.Env      = (*Kernel)(nil)
-	_ runtime.Task     = (*Proc)(nil)
-	_ runtime.Ticket   = Ticket{}
-	_ runtime.Event    = (*Event)(nil)
-	_ runtime.Queue    = (*Queue[any])(nil)
-	_ runtime.Resource = (*Resource)(nil)
+	_ runtime.Env    = (*Kernel)(nil)
+	_ runtime.Task   = (*Proc)(nil)
+	_ runtime.Ticket = Ticket{}
+	_ runtime.Event  = (*Event)(nil)
 )
 
 // Spawn implements runtime.Env by starting fn as a new proc.
@@ -44,12 +42,10 @@ func (p *Proc) Blocking(fn func()) { fn() }
 func (k *Kernel) MakeEvent() runtime.Event { return k.NewEvent() }
 
 // MakeQueue implements runtime.Env.
-func (k *Kernel) MakeQueue() runtime.Queue { return NewQueue[any](k) }
+func (k *Kernel) MakeQueue() *runtime.Queue { return new(runtime.Queue) }
 
 // MakeResource implements runtime.Env.
-func (k *Kernel) MakeResource(capacity int64) runtime.Resource {
-	return NewResource(k, capacity)
-}
+func (k *Kernel) MakeResource(capacity int64) *runtime.Resource { return runtime.NewResource(capacity) }
 
 // MakeHistogram implements runtime.Env.
 func (k *Kernel) MakeHistogram() *obs.Histogram { return obs.NewHistogram() }

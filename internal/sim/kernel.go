@@ -6,9 +6,10 @@
 // baton-passing style, so execution is single-threaded and fully
 // deterministic even though every actor is its own goroutine.
 //
-// The package also provides the synchronization primitives the rest of the
-// system is built from: one-shot multi-waiter Events, blocking FIFO Queues,
-// and counting-semaphore Resources.
+// The package also provides the kernel's own one-shot multi-waiter Events and
+// a FIFO Mutex. Blocking FIFO queues and counting-semaphore resources are
+// runtime.Queue and runtime.Resource, which park through Proc like any
+// other task.
 package sim
 
 import (

@@ -10,7 +10,7 @@ import (
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // deterministically by the kernel. At most one proc runs at any instant; a
 // proc runs from the moment it is resumed until it blocks in one of the
-// waiting primitives (Sleep, Wait, Queue.Get, Resource.Acquire, ...).
+// waiting primitives (Sleep, Wait, Park, Mutex.Lock, ...).
 type Proc struct {
 	k       *Kernel
 	name    string
@@ -109,11 +109,11 @@ func (t Ticket) WakeAfter(d Time) {
 	})
 }
 
-// Prepare issues a wakeup ticket for the proc's next Park. Custom blocking
-// primitives outside this package use Prepare/Park the same way Queue and
-// Resource do: issue a ticket, register it with whoever will wake you, then
-// Park. The ticket is returned as a runtime.Ticket so such primitives work
-// on any runtime backend.
+// Prepare issues a wakeup ticket for the proc's next Park. Blocking
+// primitives outside this package (runtime.Queue, runtime.Resource, core's
+// segment locks) issue a ticket, register it with whoever will wake them,
+// then Park. The ticket is returned as a runtime.Ticket so such primitives
+// work on any runtime backend.
 func (p *Proc) Prepare() runtime.Ticket { return p.prepare() }
 
 // Park blocks the proc until a ticket from the most recent Prepare is

@@ -27,7 +27,7 @@ type Inproc struct {
 	env  runtime.Env
 	name string
 
-	acceptQ  runtime.Queue
+	acceptQ  *runtime.Queue
 	closed   bool
 	nextConn uint64
 
@@ -199,7 +199,7 @@ type inprocConn struct {
 	id     uint64
 	server bool
 	name   string
-	rxq    runtime.Queue
+	rxq    *runtime.Queue
 	peer   *inprocConn // direct mode only; nil when fabric-routed
 	closed bool
 }

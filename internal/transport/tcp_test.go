@@ -130,11 +130,11 @@ func TestTCPBurstLeavesInOneWrite(t *testing.T) {
 		io.Copy(io.Discard, c)
 	})
 	env := wallclock.New()
+	first := -1
 	env.Spawn("client", func(p runtime.Task) {
 		conn, err := DialTCP(env, addr)
 		if err != nil {
 			t.Errorf("dial: %v", err)
-			got <- -1
 			return
 		}
 		p.Sleep(20 * runtime.Millisecond) // the peer is now parked in Read
@@ -144,15 +144,24 @@ func TestTCPBurstLeavesInOneWrite(t *testing.T) {
 				time.Sleep(2 * time.Millisecond) // holding the runtime lock
 			})
 		}
-		// Close only well after the burst: Close flushes on its own, which
-		// would merge the frames whether or not the idle flush did.
-		p.Sleep(20 * runtime.Millisecond)
+		// Close only once the peer's first Read has reported: Close flushes
+		// on its own, and would put whatever is queued by then on the wire
+		// whether or not the idle flush had merged the burst.
+		p.Blocking(func() {
+			select {
+			case first = <-got:
+			case <-time.After(5 * time.Second):
+			}
+		})
 		conn.Close()
 	})
 	env.Wait()
 	<-peerDone
-	if n := <-got; n != senders*one {
-		t.Fatalf("first Read returned %d bytes, want all %d frames (%d bytes)", n, senders, senders*one)
+	if first < 0 {
+		t.Fatal("the burst never reached the peer before Close")
+	}
+	if first != senders*one {
+		t.Fatalf("first Read returned %d bytes, want all %d frames (%d bytes)", first, senders, senders*one)
 	}
 }
 
