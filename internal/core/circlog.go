@@ -41,7 +41,8 @@ type CircLog struct {
 	stagedBytes int64
 	flushArmed  bool
 	inFlight    int
-	flushFn     func() // bound once; After(0, l.flushAppends) would allocate per arm
+	flushFn     func()        // bound once; After(0, l.flushAppends) would allocate per arm
+	groupFree   []*groupWrite // completed group records, for reuse
 
 	appends      int64
 	reads        int64
@@ -52,6 +53,21 @@ type CircLog struct {
 type stagedAppend struct {
 	data []byte
 	done runtime.Event
+}
+
+// groupWrite is one group commit on the device: the op that carries it, the
+// appends it completes, and the merge buffer when it carries several.
+// Records are recycled through the log's free list — at most maxGroupWrites
+// are ever in flight — and each binds its completion once, so a flush
+// allocates only the write's event. A record returns to the list only from
+// its own completion, after Done has fired, so op.Data is never touched
+// while the device holds it.
+type groupWrite struct {
+	l       *CircLog
+	op      flashsim.Op
+	members []stagedAppend
+	buf     []byte
+	doneFn  func(any) // g.complete, bound once
 }
 
 // maxGroupWrites is the log's commit pipeline depth: how many group writes
@@ -109,12 +125,17 @@ func (l *CircLog) phys(logical int64) int64 { return l.off + logical%l.size }
 
 // submitWrap issues one logical-range op, splitting at the physical wrap
 // point if needed, and returns an event that fires when all parts complete.
-func (l *CircLog) submitWrap(kind flashsim.OpKind, logical int64, data []byte) runtime.Event {
+// An op that fits carries the range in op (a fresh one when op is nil); a
+// straddling range takes two fresh ops.
+func (l *CircLog) submitWrap(kind flashsim.OpKind, logical int64, data []byte, op *flashsim.Op) runtime.Event {
 	done := l.env.MakeEvent()
 	p0 := l.phys(logical)
 	first := l.off + l.size - p0
 	if int64(len(data)) <= first {
-		op := &flashsim.Op{Kind: kind, Offset: p0, Data: data, Done: done}
+		if op == nil {
+			op = new(flashsim.Op)
+		}
+		*op = flashsim.Op{Kind: kind, Offset: p0, Data: data, Done: done}
 		l.dev.Submit(op)
 		return done
 	}
@@ -190,40 +211,65 @@ func (l *CircLog) flushAppends() {
 		total += int64(len(l.staged[n].data))
 		n++
 	}
-	staged := l.staged[:n:n]
+	g := l.getGroup()
+	g.members = append(g.members[:0], l.staged[:n]...)
 	start := l.stagedStart
-	l.staged = l.staged[n:]
+	// Shift the remainder down so the staging slice keeps its capacity.
+	rest := copy(l.staged, l.staged[n:])
+	clear(l.staged[rest:])
+	l.staged = l.staged[:rest]
 	l.stagedBytes -= total
 	l.stagedStart += total
 	l.inFlight++
-	var ev runtime.Event
-	if len(staged) == 1 {
-		ev = l.submitWrap(flashsim.OpWrite, start, staged[0].data)
-	} else {
-		buf := make([]byte, 0, total)
-		for _, a := range staged {
-			buf = append(buf, a.data...)
+	data := g.members[0].data
+	if n > 1 {
+		g.buf = g.buf[:0]
+		for _, a := range g.members {
+			g.buf = append(g.buf, a.data...)
 		}
-		ev = l.submitWrap(flashsim.OpWrite, start, buf)
+		data = g.buf
 		l.groupCommits++
 	}
+	ev := l.submitWrap(flashsim.OpWrite, start, data, &g.op)
 	// A cap-split remainder is a full-size group by construction: let it
 	// chase this write down the pipeline immediately.
 	if len(l.staged) > 0 && l.inFlight < maxGroupWrites && !l.flushArmed {
 		l.flushArmed = true
 		l.env.After(0, l.flushFn)
 	}
-	ev.OnFire(func(v any) {
-		l.inFlight--
-		for _, a := range staged {
-			a.done.Fire(v)
-		}
-		// Appends staged while the pipeline was full form the next group.
-		if len(l.staged) > 0 && !l.flushArmed {
-			l.flushArmed = true
-			l.env.After(0, l.flushFn)
-		}
-	})
+	ev.OnFire(g.doneFn)
+}
+
+// getGroup takes a group record from the free list or makes one.
+func (l *CircLog) getGroup() *groupWrite {
+	if n := len(l.groupFree); n > 0 {
+		g := l.groupFree[n-1]
+		l.groupFree[n-1] = nil
+		l.groupFree = l.groupFree[:n-1]
+		return g
+	}
+	g := &groupWrite{l: l}
+	g.doneFn = g.complete
+	return g
+}
+
+// complete fans the group write's result out to each member append's
+// event, recycles the record, and starts the next group if one is waiting.
+func (g *groupWrite) complete(v any) {
+	l := g.l
+	l.inFlight--
+	for _, a := range g.members {
+		a.done.Fire(v)
+	}
+	clear(g.members)
+	g.members = g.members[:0]
+	g.op = flashsim.Op{}
+	l.groupFree = append(l.groupFree, g)
+	// Appends staged while the pipeline was full form the next group.
+	if len(l.staged) > 0 && !l.flushArmed {
+		l.flushArmed = true
+		l.env.After(0, l.flushFn)
+	}
 }
 
 // Unappend gives back a failed append's reservation. It succeeds only while
@@ -248,7 +294,7 @@ func (l *CircLog) ReadAsync(logical int64, buf []byte) (runtime.Event, error) {
 		return nil, fmt.Errorf("%w: read [%d,+%d) outside live [%d,%d)", ErrCorrupt, logical, len(buf), l.head, l.tail)
 	}
 	l.reads++
-	return l.submitWrap(flashsim.OpRead, logical, buf), nil
+	return l.submitWrap(flashsim.OpRead, logical, buf, nil), nil
 }
 
 // ReadNow attempts the read synchronously via the device's optional

@@ -93,32 +93,18 @@ func (b *Bucket) Marshal(dst []byte) error {
 	if need > len(dst) {
 		return fmt.Errorf("%w: bucket needs %d bytes, block is %d", ErrCorrupt, need, len(dst))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	binary.LittleEndian.PutUint16(dst[0:], bucketMagic)
-	dst[2] = b.ChainLen
-	dst[3] = b.ChainPos
-	binary.LittleEndian.PutUint32(dst[4:], b.SegID)
-	// crc at [8:12] filled last
-	binary.LittleEndian.PutUint16(dst[12:], uint16(len(b.Items)))
-	binary.LittleEndian.PutUint64(dst[16:], uint64(b.ValHeadHint))
-	binary.LittleEndian.PutUint64(dst[24:], uint64(b.ValTailHint))
-	binary.LittleEndian.PutUint64(dst[32:], b.Seq)
+	clear(dst)
 	o := bucketHdrSize
 	for i := range b.Items {
 		it := &b.Items[i]
 		if len(it.Key) > MaxKeyLen {
 			return ErrKeyTooLarge
 		}
-		dst[o] = uint8(len(it.Key))
-		dst[o+1] = it.SSDID
-		binary.LittleEndian.PutUint32(dst[o+2:], it.ValLen)
-		binary.LittleEndian.PutUint64(dst[o+6:], uint64(it.ValOff))
-		copy(dst[o+itemHdrSize:], it.Key)
+		putItem(dst, o, it.Key, RawItem{ValLen: it.ValLen, ValOff: it.ValOff, SSDID: it.SSDID})
 		o += it.Size()
 	}
-	binary.LittleEndian.PutUint32(dst[8:], crc32.Checksum(dst, castagnoli))
+	binary.LittleEndian.PutUint16(dst[12:], uint16(len(b.Items)))
+	sealBucketBlock(dst, b.SegID, b.ChainLen, b.ChainPos, b.ValHeadHint, b.ValTailHint, b.Seq)
 	return nil
 }
 
@@ -216,16 +202,110 @@ func ScanBucketBlock(src, key []byte) (it RawItem, scanned int, found bool, err 
 		}
 		scanned++
 		if kl == len(key) && string(src[o+itemHdrSize:o+itemHdrSize+kl]) == string(key) {
-			it = RawItem{
-				SSDID:  src[o+1],
-				ValLen: binary.LittleEndian.Uint32(src[o+2:]),
-				ValOff: int64(binary.LittleEndian.Uint64(src[o+6:])),
-			}
-			return it, scanned, true, nil
+			return itemAt(src, o), scanned, true, nil
 		}
 		o += itemHdrSize + kl
 	}
 	return RawItem{}, scanned, false, nil
+}
+
+// sealBucketBlock writes a block's header around its item count — magic,
+// chain metadata, recovery hints, sequence — and then its CRC, computed with
+// the CRC field zeroed. Marshal and the in-place segment editor both seal
+// through it, so the two write the same header bytes.
+func sealBucketBlock(dst []byte, segID uint32, chainLen, chainPos uint8, valHead, valTail int64, seq uint64) {
+	binary.LittleEndian.PutUint16(dst[0:], bucketMagic)
+	dst[2] = chainLen
+	dst[3] = chainPos
+	binary.LittleEndian.PutUint32(dst[4:], segID)
+	binary.LittleEndian.PutUint32(dst[8:], 0)
+	dst[14], dst[15] = 0, 0
+	binary.LittleEndian.PutUint64(dst[16:], uint64(valHead))
+	binary.LittleEndian.PutUint64(dst[24:], uint64(valTail))
+	binary.LittleEndian.PutUint64(dst[32:], seq)
+	binary.LittleEndian.PutUint32(dst[8:], crc32.Checksum(dst, castagnoli))
+}
+
+// putItem writes one item — header and key — at byte offset at of a block.
+func putItem(dst []byte, at int, key []byte, it RawItem) {
+	dst[at] = uint8(len(key))
+	setItemAt(dst, at, it)
+	copy(dst[at+itemHdrSize:], key)
+}
+
+// itemAt decodes the value fields of the item at byte offset at of a block.
+func itemAt(src []byte, at int) RawItem {
+	return RawItem{
+		SSDID:  src[at+1],
+		ValLen: binary.LittleEndian.Uint32(src[at+2:]),
+		ValOff: int64(binary.LittleEndian.Uint64(src[at+6:])),
+	}
+}
+
+// setItemAt overwrites the value fields of the item at byte offset at,
+// leaving its key in place.
+func setItemAt(dst []byte, at int, it RawItem) {
+	dst[at+1] = it.SSDID
+	binary.LittleEndian.PutUint32(dst[at+2:], it.ValLen)
+	binary.LittleEndian.PutUint64(dst[at+6:], uint64(it.ValOff))
+}
+
+// addItem appends an item after the last one of a checked block and bumps
+// the block's item count. It reports false, leaving the block as it was,
+// when the item does not fit.
+func addItem(dst, key []byte, it RawItem) bool {
+	end := itemsEnd(dst)
+	if len(dst)-end < itemHdrSize+len(key) {
+		return false
+	}
+	putItem(dst, end, key, it)
+	binary.LittleEndian.PutUint16(dst[12:], binary.LittleEndian.Uint16(dst[12:])+1)
+	return true
+}
+
+// itemsEnd returns the byte offset just past the last item of a block whose
+// item layout has been checked (locateItem checks every block it passes).
+func itemsEnd(src []byte) int {
+	o := bucketHdrSize
+	for n := binary.LittleEndian.Uint16(src[12:]); n > 0; n-- {
+		o += itemHdrSize + int(src[o])
+	}
+	return o
+}
+
+// locateItem checks every block of a serialized segment array — CRC and
+// item layout, as parsing each block with UnmarshalBucket would — and finds
+// key's item in place. blk and at are the block index and byte offset of the
+// item, blk < 0 when the key is absent. scanned counts the items inspected
+// up to and including the match (every item on a miss): the count findItem
+// charges. Unlike a GET's ScanBucketBlock walk, which may stop at the match,
+// an editor reseals every block, so it must vet every block first.
+func locateItem(img []byte, bs int, key []byte) (blk, at int, scanned int64, err error) {
+	blk, at = -1, -1
+	for i := 0; (i+1)*bs <= len(img); i++ {
+		src := img[i*bs : (i+1)*bs]
+		if err := VerifyBucketBlock(src); err != nil {
+			return -1, -1, 0, err
+		}
+		o := bucketHdrSize
+		for n := binary.LittleEndian.Uint16(src[12:]); n > 0; n-- {
+			if o+itemHdrSize > len(src) {
+				return -1, -1, 0, fmt.Errorf("%w: truncated item header", ErrCorrupt)
+			}
+			kl := int(src[o])
+			if o+itemHdrSize+kl > len(src) {
+				return -1, -1, 0, fmt.Errorf("%w: truncated item key", ErrCorrupt)
+			}
+			if blk < 0 {
+				scanned++
+				if kl == len(key) && string(src[o+itemHdrSize:o+itemHdrSize+kl]) == string(key) {
+					blk, at = i, o
+				}
+			}
+			o += itemHdrSize + kl
+		}
+	}
+	return blk, at, scanned, nil
 }
 
 // ProbeBucket cheaply checks whether a block looks like a valid bucket

@@ -213,7 +213,7 @@ func (s *Store) compactValGroup(p runtime.Task, group []*valEntryRef) {
 		relocated = append(relocated, e)
 	}
 	if len(relocated) > 0 {
-		if err := s.writeSegment(p, &st, seg, buckets, true, nil); err != nil {
+		if err := s.writeSegment(p, &st, seg, buckets); err != nil {
 			// Segment write failed: the relocated copies are orphaned
 			// (harmless garbage) and the old offsets stay authoritative, so
 			// the head must not pass the relocated entries.
@@ -352,7 +352,7 @@ func (s *Store) compactKeyArray(p runtime.Task, a *keyArrayRef) {
 		}
 		last.Items = append(last.Items, it)
 	}
-	if err := s.writeSegment(p, &st, a.seg, repacked, true, nil); err != nil {
+	if err := s.writeSegment(p, &st, a.seg, repacked); err != nil {
 		return
 	}
 	a.done = true

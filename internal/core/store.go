@@ -238,12 +238,11 @@ func (s *Store) parseSegment(buf []byte, chainLen int) ([]*Bucket, error) {
 	return buckets, nil
 }
 
-// marshalSegment serializes buckets into a contiguous array, refreshing
-// chain metadata and recovery hints.
-func (s *Store) marshalSegment(segID uint32, buckets []*Bucket) ([]byte, error) {
+// marshalSegment serializes buckets into dst (len(buckets) blocks),
+// refreshing chain metadata and recovery hints.
+func (s *Store) marshalSegment(dst []byte, segID uint32, buckets []*Bucket) error {
 	bs := s.cfg.BlockSize
 	s.seq++
-	out := make([]byte, len(buckets)*bs)
 	for i, b := range buckets {
 		b.SegID = segID
 		b.ChainLen = uint8(len(buckets))
@@ -251,11 +250,41 @@ func (s *Store) marshalSegment(segID uint32, buckets []*Bucket) ([]byte, error) 
 		b.ValHeadHint = s.valLog.Head()
 		b.ValTailHint = s.valLog.Tail()
 		b.Seq = s.seq
-		if err := b.Marshal(out[i*bs : (i+1)*bs]); err != nil {
-			return nil, err
+		if err := b.Marshal(dst[i*bs : (i+1)*bs]); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// sealSegment refreshes every block header of an image edited in place
+// exactly as marshalSegment would for the parsed buckets — chain metadata,
+// recovery hints, one shared sequence number — zeroing each block past its
+// items, and recomputes the CRCs. The result is byte-for-byte what parse,
+// the same edit and marshalSegment produce.
+func (s *Store) sealSegment(segID uint32, img []byte) {
+	bs := s.cfg.BlockSize
+	s.seq++
+	chain := len(img) / bs
+	head, tail := s.valLog.Head(), s.valLog.Tail()
+	for i := 0; i < chain; i++ {
+		blk := img[i*bs : (i+1)*bs]
+		clear(blk[itemsEnd(blk):])
+		sealBucketBlock(blk, segID, uint8(chain), uint8(i), head, tail, s.seq)
+	}
+}
+
+// readImage reads seg's current array into a rented buffer with room for
+// one more block, for editing in place. An empty segment reads as a
+// zero-block image; found reports whether an array existed. The caller
+// returns img with putBuf once any append of it has completed.
+func (s *Store) readImage(p runtime.Task, st *OpStats, seg uint32) (img []byte, found bool, err error) {
+	off, chainLen, ok := s.segs.Lookup(seg)
+	if !ok {
+		return s.getBuf(s.cfg.BlockSize)[:0], false, nil
+	}
+	img = s.getBuf(int(s.segBytes(chainLen + 1)))[:s.segBytes(chainLen)]
+	return img, true, s.readSegmentInto(p, st, seg, off, img)
 }
 
 // findItem locates key in the segment's buckets, charging scan cycles.
@@ -519,8 +548,11 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 	s.segs.Lock(p, seg)
 	defer s.segs.Unlock(seg)
 
-	// Value append, issued first so it overlaps the segment read.
-	entry := make([]byte, ValueEntrySize(len(key), len(val)))
+	// Value append, issued first so it overlaps the segment read. The entry
+	// belongs to the log until the append completes; every path below that
+	// follows a successful append waits for it before the deferred putBuf.
+	entry := s.getBuf(ValueEntrySize(len(key), len(val)))
+	defer s.putBuf(entry)
 	if err := MarshalValueEntry(entry, key, val); err != nil {
 		return err
 	}
@@ -545,48 +577,50 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 	// Segment read overlapped with the value write, from wherever the array
 	// currently lives. On a SyncReader device the read completes inline and
 	// the value write's flush runs when this task parks on valEv.
-	buckets, ok, err := s.loadSegment(p, st, seg)
+	img, found, err := s.readImage(p, st, seg)
+	defer s.putBuf(img)
 	if werr := s.ssdWait(p, st, valEv); err == nil {
 		err = werr
 	}
 	if err != nil {
 		return err
 	}
-	if !ok {
-		buckets = []*Bucket{{}}
+	bs := s.cfg.BlockSize
+	blk, at, scanned, err := locateItem(img, bs, key)
+	if err != nil {
+		return err
 	}
-
-	// Update or insert the item.
-	newItem := Item{Key: key, ValLen: uint32(len(val)), ValOff: valOff, SSDID: ssdID}
-	bi, ii := s.findItem(p, st, buckets, key)
+	s.cpu(p, st, scanned*s.cfg.Costs.ItemScan)
 	s.cpu(p, st, s.cfg.Costs.BucketEdit)
-	switch {
-	case bi >= 0:
-		old := &buckets[bi].Items[ii]
-		if old.Deleted() {
+
+	// Update or insert the item, patching the image in place.
+	newItem := RawItem{ValLen: uint32(len(val)), ValOff: valOff, SSDID: ssdID}
+	if blk >= 0 {
+		b := img[blk*bs : (blk+1)*bs]
+		if old := itemAt(b, at); old.Deleted() {
 			s.stats.Objects++
 		} else {
 			s.accountDeadValue(old, len(key))
 		}
 		s.stats.LiveValBytes += int64(len(val))
-		newItem.Key = old.Key // reuse; identical bytes
-		buckets[bi].Items[ii] = newItem
-	default:
+		setItemAt(b, at, newItem)
+	} else {
 		placed := false
-		for _, b := range buckets {
-			if b.SpaceLeft(s.cfg.BlockSize) >= newItem.Size() {
-				b.Items = append(b.Items, newItem)
-				placed = true
-				break
-			}
+		for i := 0; i*bs < len(img) && !placed; i++ {
+			placed = addItem(img[i*bs:(i+1)*bs], key, newItem)
 		}
 		if !placed {
-			if len(buckets) >= s.cfg.MaxChain {
+			chain := len(img) / bs
+			if chain >= s.cfg.MaxChain {
 				s.stats.SegmentFull++
 				s.accountDeadValueBytes(int64(len(entry))) // orphaned value append
 				return ErrSegmentFull
 			}
-			buckets = append(buckets, &Bucket{Items: []Item{newItem}})
+			img = img[:(chain+1)*bs]
+			clear(img[chain*bs:])
+			if !addItem(img[chain*bs:], key, newItem) {
+				return fmt.Errorf("%w: a %d-byte key does not fit a %d-byte block", ErrCorrupt, len(key), bs)
+			}
 		}
 		s.stats.Objects++
 		s.stats.LiveValBytes += int64(len(val))
@@ -595,7 +629,8 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 		s.pendingSwaps[seg] = struct{}{}
 		s.stats.SwappedPuts++
 	}
-	return s.writeSegment(p, st, seg, buckets, ok, helper)
+	s.sealSegment(seg, img)
+	return s.appendSegment(p, st, seg, img, found, helper)
 }
 
 // releaseOldSegment accounts the previous array as dead: key-log garbage
@@ -615,15 +650,25 @@ func (s *Store) releaseOldSegment(seg uint32, hadOld bool) {
 	}
 }
 
-// writeSegment appends the segment array and updates the SegTbl. hadOld
-// reports that a previous array exists; it becomes garbage wherever it
-// lived. A non-nil helper redirects the array into the helper's swap
-// region instead of the home key log (§3.6's full write swapping).
-func (s *Store) writeSegment(p runtime.Task, st *OpStats, seg uint32, buckets []*Bucket, hadOld bool, helper *Store) error {
-	img, err := s.marshalSegment(seg, buckets)
-	if err != nil {
+// writeSegment serializes buckets into a rented image and appends it to
+// the home key log, replacing the segment's previous array.
+func (s *Store) writeSegment(p runtime.Task, st *OpStats, seg uint32, buckets []*Bucket) error {
+	img := s.getBuf(int(s.segBytes(len(buckets))))
+	defer s.putBuf(img)
+	if err := s.marshalSegment(img, seg, buckets); err != nil {
 		return err
 	}
+	return s.appendSegment(p, st, seg, img, true, nil)
+}
+
+// appendSegment appends a sealed segment image and updates the SegTbl.
+// hadOld reports that a previous array exists; it becomes garbage wherever
+// it lived. A non-nil helper redirects the array into the helper's swap
+// region instead of the home key log (§3.6's full write swapping). img is
+// the log's until the append completes, which appendSegment waits for on
+// every path that issued it.
+func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byte, hadOld bool, helper *Store) error {
+	chainLen := len(img) / s.cfg.BlockSize
 	s.cpu(p, st, s.cfg.Costs.AppendBook)
 	if helper != nil && helper != s {
 		newOff, ev, aerr := helper.AppendSwap(img)
@@ -635,7 +680,7 @@ func (s *Store) writeSegment(p runtime.Task, st *OpStats, seg uint32, buckets []
 			return err
 		}
 		s.releaseOldSegment(seg, hadOld)
-		s.segs.SetRemote(seg, newOff, len(buckets), helper.cfg.DevID)
+		s.segs.SetRemote(seg, newOff, chainLen, helper.cfg.DevID)
 		s.pendingSwaps[seg] = struct{}{}
 		return nil
 	}
@@ -654,11 +699,11 @@ func (s *Store) writeSegment(p runtime.Task, st *OpStats, seg uint32, buckets []
 		return err
 	}
 	s.releaseOldSegment(seg, hadOld)
-	s.segs.Set(seg, newOff, len(buckets))
+	s.segs.Set(seg, newOff, chainLen)
 	return nil
 }
 
-func (s *Store) accountDeadValue(old *Item, keyLen int) {
+func (s *Store) accountDeadValue(old RawItem, keyLen int) {
 	s.stats.LiveValBytes -= int64(old.ValLen)
 	if old.SSDID == s.cfg.DevID {
 		s.accountDeadValueBytes(int64(ValueEntrySize(keyLen, int(old.ValLen))))
@@ -672,7 +717,8 @@ func (s *Store) accountDeadValue(old *Item, keyLen int) {
 func (s *Store) accountDeadValueBytes(n int64) { s.valGarbage += n }
 
 // Del marks key deleted (§3.3: only the key log is touched; the value
-// length field becomes zero as the deletion marker).
+// length field becomes zero as the deletion marker). Like a PUT, it edits
+// the serialized array in place.
 func (s *Store) Del(p runtime.Task, key []byte) (OpStats, error) {
 	var st OpStats
 	s.stats.Dels++
@@ -682,7 +728,8 @@ func (s *Store) Del(p runtime.Task, key []byte) (OpStats, error) {
 	s.segs.Lock(p, seg)
 	defer s.segs.Unlock(seg)
 
-	buckets, found, err := s.loadSegment(p, &st, seg)
+	img, found, err := s.readImage(p, &st, seg)
+	defer s.putBuf(img)
 	if err != nil {
 		return st, err
 	}
@@ -690,22 +737,29 @@ func (s *Store) Del(p runtime.Task, key []byte) (OpStats, error) {
 		s.stats.NotFounds++
 		return st, ErrNotFound
 	}
-	bi, ii := s.findItem(p, &st, buckets, key)
-	if bi < 0 || buckets[bi].Items[ii].Deleted() {
+	bs := s.cfg.BlockSize
+	blk, at, scanned, err := locateItem(img, bs, key)
+	if err != nil {
+		return st, err
+	}
+	s.cpu(p, &st, scanned*s.cfg.Costs.ItemScan)
+	if blk < 0 {
 		s.stats.NotFounds++
 		return st, ErrNotFound
 	}
-	it := &buckets[bi].Items[ii]
-	s.accountDeadValue(it, len(key))
-	it.ValLen = 0
-	it.ValOff = 0
-	it.SSDID = s.cfg.DevID
+	b := img[blk*bs : (blk+1)*bs]
+	old := itemAt(b, at)
+	if old.Deleted() {
+		s.stats.NotFounds++
+		return st, ErrNotFound
+	}
+	s.accountDeadValue(old, len(key))
+	setItemAt(b, at, RawItem{SSDID: s.cfg.DevID})
 	s.stats.Objects--
 	s.cpu(p, &st, s.cfg.Costs.BucketEdit)
-	if err := s.writeSegment(p, &st, seg, buckets, true, nil); err != nil {
-		return st, err
-	}
-	return st, nil
+	s.sealSegment(seg, img)
+	err = s.appendSegment(p, &st, seg, img, true, nil)
+	return st, err
 }
 
 // Range iterates every live object in the store, calling fn with copies of

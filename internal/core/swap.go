@@ -128,7 +128,7 @@ func (s *Store) mergebackSegment(p runtime.Task, seg uint32) (int, error) {
 	// still living in a peer's swap region.
 	_, remote := s.segs.Location(seg)
 	if merged > 0 || remote {
-		if err := s.writeSegment(p, &st, seg, buckets, true, nil); err != nil {
+		if err := s.writeSegment(p, &st, seg, buckets); err != nil {
 			return merged, err
 		}
 		if remote {

@@ -15,11 +15,21 @@ type MemDevice struct {
 	store     *pageStore
 	stats     devStats
 	syncReads bool
+
+	// pending holds submitted ops, oldest first from pending[head], until
+	// their zero-delay completion runs. Each push arms one After(0) of
+	// completeFn, and both backends run zero-delay callbacks in
+	// registration order, so each run pops the op its own Submit pushed.
+	pending    []*Op
+	head       int
+	completeFn func() // d.completeNext, bound once
 }
 
 // NewMemDevice creates a zero-latency device of the given capacity.
 func NewMemDevice(env runtime.Env, capacity int64) *MemDevice {
-	return &MemDevice{env: env, store: newPageStore(capacity), stats: newStats()}
+	d := &MemDevice{env: env, store: newPageStore(capacity), stats: newStats()}
+	d.completeFn = d.completeNext
+	return d
 }
 
 // Capacity returns the device size in bytes.
@@ -40,16 +50,34 @@ func (d *MemDevice) Submit(op *Op) {
 		return
 	}
 	op.submitted = d.env.Now()
-	d.env.After(0, func() {
-		switch op.Kind {
-		case OpRead:
-			d.store.readAt(op.Data, op.Offset)
-		case OpWrite:
-			d.store.writeAt(op.Data, op.Offset)
-		}
-		d.stats.record(op.Kind, len(op.Data), d.env.Now()-op.submitted, 0)
-		op.Done.Fire(nil)
-	})
+	// Reuse the dead prefix once it is at least half the queue, so a queue
+	// that never fully drains neither grows without bound nor copies on
+	// every push.
+	if len(d.pending) == cap(d.pending) && d.head > 0 && 2*d.head >= len(d.pending) {
+		n := copy(d.pending, d.pending[d.head:])
+		clear(d.pending[n:])
+		d.pending = d.pending[:n]
+		d.head = 0
+	}
+	d.pending = append(d.pending, op)
+	d.env.After(0, d.completeFn)
+}
+
+// completeNext completes the oldest pending op.
+func (d *MemDevice) completeNext() {
+	op := d.pending[d.head]
+	d.pending[d.head] = nil
+	if d.head++; d.head == len(d.pending) {
+		d.pending, d.head = d.pending[:0], 0
+	}
+	switch op.Kind {
+	case OpRead:
+		d.store.readAt(op.Data, op.Offset)
+	case OpWrite:
+		d.store.writeAt(op.Data, op.Offset)
+	}
+	d.stats.record(op.Kind, len(op.Data), d.env.Now()-op.submitted, 0)
+	op.Done.Fire(nil)
 }
 
 // SetSyncReads toggles the SyncReader fast path. Off by default: the sim

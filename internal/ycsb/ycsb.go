@@ -6,9 +6,9 @@
 package ycsb
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // OpType is one workload operation.
@@ -137,8 +137,22 @@ func NewGenerator(w Workload, records int64, valLen int, seed int64) *Generator 
 // Records returns the current keyspace size (grows with inserts).
 func (g *Generator) Records() int64 { return g.records }
 
-// KeyAt formats the canonical key for rank i ("user" + zero-padded id).
-func KeyAt(i int64) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+// keyDigits is the zero-padded width of KeyAt's rank.
+const keyDigits = 12
+
+// KeyAt formats the canonical key for rank i ≥ 0: "user" and the rank padded
+// with zeros to 12 digits, wider ranks in full — the bytes of
+// fmt.Sprintf("user%012d", i), in one allocation.
+func KeyAt(i int64) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], i, 10)
+	key := make([]byte, 0, len("user")+max(keyDigits, len(digits)))
+	key = append(key, "user"...)
+	for n := len(digits); n < keyDigits; n++ {
+		key = append(key, '0')
+	}
+	return append(key, digits...)
+}
 
 // nextKeyRank draws a key rank per the workload distribution.
 func (g *Generator) nextKeyRank() int64 {

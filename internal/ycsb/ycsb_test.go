@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,6 +185,25 @@ func TestInsertGrowsKeyspace(t *testing.T) {
 func TestKeyAtFormat(t *testing.T) {
 	if string(KeyAt(42)) != "user000000000042" {
 		t.Fatalf("KeyAt = %q", KeyAt(42))
+	}
+}
+
+// TestKeyAtMatchesSprintf pins KeyAt to the fmt format it replaced: keys are
+// durable (they name stored objects and route requests), so the bytes must
+// never change.
+func TestKeyAtMatchesSprintf(t *testing.T) {
+	ranks := []int64{0, 1, 9, 10, 42, 999_999_999_999, 1_000_000_000_000, math.MaxInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ranks = append(ranks, rng.Int63n(int64(1)<<(1+rng.Intn(62))))
+	}
+	for _, i := range ranks {
+		if got, want := string(KeyAt(i)), fmt.Sprintf("user%012d", i); got != want {
+			t.Fatalf("KeyAt(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { KeyAt(123456) }); n > 1 {
+		t.Fatalf("KeyAt = %.1f allocs, want 1", n)
 	}
 }
 
