@@ -8,11 +8,17 @@ import (
 
 // On-flash layout (§3.2.2–3.2.3).
 //
-// A bucket occupies exactly one SSD block. A segment is an array of
-// chainLen buckets written contiguously to the key log, so fetching a
-// segment is a single NVMe access. Key items carry the value length, the
-// value-log offset, and the SSD identifier used by the intra-JBOF data
-// swapping mechanism (§3.6).
+// A bucket occupies exactly one SSD block: a header (magic u16 | chainLen
+// u8 | chainPos u8 | segID u32 | crc u32 | items u16 | pad u16 | valHead
+// u64 | valTail u64 | seq u64), then its items back to back. A segment is
+// an array of chainLen buckets written contiguously to the key log, so
+// fetching a segment is a single NVMe access. Key items carry the value
+// length, the value-log offset, and the SSD identifier used by the
+// intra-JBOF data swapping mechanism (§3.6).
+//
+// The serialized image is the store's only in-memory form of an array:
+// readers check each block once (checkBlock), then find, patch or repack
+// items in place, and writers reseal the image right before its append.
 
 const (
 	bucketMagic = 0x1EED
@@ -34,130 +40,44 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // a stack temporary into the per-GET path.
 var zeroCRCField [4]byte
 
-// Item is one key entry inside a bucket. ValLen == 0 marks a deletion
-// (§3.3: DEL sets the value length to zero as the deletion marker).
-type Item struct {
-	Key    []byte
+// RawItem holds the value fields of one key item, decoded in place from a
+// block; the key stays in the block. ValLen == 0 marks a deletion (§3.3:
+// DEL sets the value length to zero as the deletion marker).
+type RawItem struct {
 	ValLen uint32
 	ValOff int64
 	SSDID  uint8 // which co-located SSD holds the value (data swapping, §3.6)
 }
 
-// Size returns the item's marshaled size.
-func (it *Item) Size() int { return itemHdrSize + len(it.Key) }
-
 // Deleted reports whether the item is a deletion marker.
-func (it *Item) Deleted() bool { return it.ValLen == 0 }
+func (it *RawItem) Deleted() bool { return it.ValLen == 0 }
 
-// Bucket is one block of a segment's chained-bucket array.
-type Bucket struct {
-	SegID       uint32
-	ChainLen    uint8
-	ChainPos    uint8
-	ValHeadHint int64 // value-log head at write time (recovery, §3.2.3)
-	ValTailHint int64 // value-log tail at write time
-	Seq         uint64
-	Items       []Item
+// blockHdr is the chain metadata of a checked block that recovery and
+// key-log compaction read to delimit and order arrays.
+type blockHdr struct {
+	segID    uint32
+	chainLen uint8
+	chainPos uint8
+	valTail  int64
+	seq      uint64
 }
 
-// itemsBytes returns the marshaled size of all items.
-func (b *Bucket) itemsBytes() int {
-	n := 0
-	for i := range b.Items {
-		n += b.Items[i].Size()
+// headerOf decodes the chain metadata of a checked block.
+func headerOf(blk []byte) blockHdr {
+	return blockHdr{
+		chainLen: blk[2],
+		chainPos: blk[3],
+		segID:    binary.LittleEndian.Uint32(blk[4:]),
+		valTail:  int64(binary.LittleEndian.Uint64(blk[24:])),
+		seq:      binary.LittleEndian.Uint64(blk[32:]),
 	}
-	return n
 }
 
-// SpaceLeft returns the free item bytes remaining in a block of blockSize.
-func (b *Bucket) SpaceLeft(blockSize int) int {
-	return blockSize - bucketHdrSize - b.itemsBytes()
-}
-
-// Find returns the index of the item with the given key, or -1.
-func (b *Bucket) Find(key []byte) int {
-	for i := range b.Items {
-		if string(b.Items[i].Key) == string(key) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Marshal writes the bucket into dst, which must be exactly one block.
-func (b *Bucket) Marshal(dst []byte) error {
-	if len(b.Items) > 0xffff {
-		return fmt.Errorf("%w: %d items", ErrCorrupt, len(b.Items))
-	}
-	need := bucketHdrSize + b.itemsBytes()
-	if need > len(dst) {
-		return fmt.Errorf("%w: bucket needs %d bytes, block is %d", ErrCorrupt, need, len(dst))
-	}
-	clear(dst)
-	o := bucketHdrSize
-	for i := range b.Items {
-		it := &b.Items[i]
-		if len(it.Key) > MaxKeyLen {
-			return ErrKeyTooLarge
-		}
-		putItem(dst, o, it.Key, RawItem{ValLen: it.ValLen, ValOff: it.ValOff, SSDID: it.SSDID})
-		o += it.Size()
-	}
-	binary.LittleEndian.PutUint16(dst[12:], uint16(len(b.Items)))
-	sealBucketBlock(dst, b.SegID, b.ChainLen, b.ChainPos, b.ValHeadHint, b.ValTailHint, b.Seq)
-	return nil
-}
-
-// UnmarshalBucket parses one block. The stored CRC is validated. The
-// returned bucket never aliases src (callers parse out of recycled segment
-// buffers and compaction chunks): every key is sliced out of one copy of the
-// block's item area, and Items has room for the one insert a PUT may make —
-// three allocations per block however many items it holds.
-func UnmarshalBucket(src []byte) (*Bucket, error) {
-	if err := VerifyBucketBlock(src); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint16(src[12:]))
-	end := bucketHdrSize
-	for i := 0; i < n; i++ {
-		if end+itemHdrSize > len(src) {
-			return nil, fmt.Errorf("%w: truncated item header", ErrCorrupt)
-		}
-		end += itemHdrSize + int(src[end])
-		if end > len(src) {
-			return nil, fmt.Errorf("%w: truncated item key", ErrCorrupt)
-		}
-	}
-	b := &Bucket{
-		ChainLen:    src[2],
-		ChainPos:    src[3],
-		SegID:       binary.LittleEndian.Uint32(src[4:]),
-		ValHeadHint: int64(binary.LittleEndian.Uint64(src[16:])),
-		ValTailHint: int64(binary.LittleEndian.Uint64(src[24:])),
-		Seq:         binary.LittleEndian.Uint64(src[32:]),
-		Items:       make([]Item, n, n+1),
-	}
-	area := append([]byte(nil), src[bucketHdrSize:end]...)
-	o := 0
-	for i := range b.Items {
-		k0 := o + itemHdrSize
-		k1 := k0 + int(area[o])
-		b.Items[i] = Item{
-			SSDID:  area[o+1],
-			ValLen: binary.LittleEndian.Uint32(area[o+2:]),
-			ValOff: int64(binary.LittleEndian.Uint64(area[o+6:])),
-			Key:    area[k0:k1:k1],
-		}
-		o = k1
-	}
-	return b, nil
-}
-
-// VerifyBucketBlock validates one serialized bucket block — magic and CRC —
-// without copying it: the stored CRC was computed with its own field zeroed,
-// so the check runs the CRC over the three spans around it instead of
-// zeroing a temporary copy.
-func VerifyBucketBlock(src []byte) error {
+// checkBlock validates one serialized bucket block: magic, CRC and an item
+// layout that fits the block. The stored CRC was computed with its own
+// field zeroed, so the check runs the CRC over the three spans around it
+// instead of zeroing a copy.
+func checkBlock(src []byte) error {
 	if len(src) < bucketHdrSize {
 		return fmt.Errorf("%w: short bucket block", ErrCorrupt)
 	}
@@ -170,49 +90,71 @@ func VerifyBucketBlock(src []byte) error {
 	if crc != binary.LittleEndian.Uint32(src[8:]) {
 		return fmt.Errorf("%w: bucket crc mismatch", ErrCorrupt)
 	}
+	_, err := eachItem(src, nil)
+	return err
+}
+
+// checkImage checks every bs-byte block of a segment array image.
+func checkImage(img []byte, bs int) error {
+	for i := 0; i < len(img); i += bs {
+		if err := checkBlock(img[i : i+bs]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// RawItem is an item decoded in place from a serialized bucket block: the
-// fields a GET needs, without copying the key out. The allocation-free read
-// path scans blocks with ScanBucketBlock instead of materializing Buckets.
-type RawItem struct {
-	ValLen uint32
-	ValOff int64
-	SSDID  uint8
+// eachItem is the one walker of a block's item layout. It calls fn, when
+// non-nil, with the byte offset of each item in order until fn returns
+// false, and returns the offset just past the last item it passed over. An
+// item whose header or key overruns the block is ErrCorrupt; checkBlock
+// walks each block before anything else does, so no later walk fails.
+func eachItem(blk []byte, fn func(at int) bool) (int, error) {
+	o := bucketHdrSize
+	for n := binary.LittleEndian.Uint16(blk[12:]); n > 0; n-- {
+		if o+itemHdrSize > len(blk) {
+			return o, fmt.Errorf("%w: truncated item header", ErrCorrupt)
+		}
+		next := o + itemHdrSize + int(blk[o])
+		if next > len(blk) {
+			return o, fmt.Errorf("%w: truncated item key", ErrCorrupt)
+		}
+		if fn != nil && !fn(o) {
+			return o, nil
+		}
+		o = next
+	}
+	return o, nil
 }
 
-// Deleted reports whether the item is a deletion marker.
-func (it *RawItem) Deleted() bool { return it.ValLen == 0 }
-
-// ScanBucketBlock searches one serialized bucket block (call
-// VerifyBucketBlock first) for key, walking the item layout in place.
-// scanned reports how many items were inspected — the same count findItem
-// charges — so callers bill identical CPU cycles to either path.
-func ScanBucketBlock(src, key []byte) (it RawItem, scanned int, found bool, err error) {
-	n := int(binary.LittleEndian.Uint16(src[12:]))
-	o := bucketHdrSize
-	for i := 0; i < n; i++ {
-		if o+itemHdrSize > len(src) {
-			return RawItem{}, scanned, false, fmt.Errorf("%w: truncated item header", ErrCorrupt)
+// findItem finds key in a checked segment image. b is the block holding
+// the item, at its byte offset there and it its value fields; b is nil and
+// it zero (a deletion marker) when the key is absent. scanned counts the
+// items compared up to and including the match (every item on a miss),
+// which callers charge as ItemScan cycles. It verifies no CRC, so it also
+// serves an image whose items were patched since the check.
+func findItem(img []byte, bs int, key []byte) (b []byte, at int, it RawItem, scanned int64) {
+	for i := 0; i < len(img); i += bs {
+		blk := img[i : i+bs]
+		at = -1
+		eachItem(blk, func(o int) bool {
+			scanned++
+			if string(keyAt(blk, o)) == string(key) {
+				at = o
+				return false
+			}
+			return true
+		})
+		if at >= 0 {
+			return blk, at, itemAt(blk, at), scanned
 		}
-		kl := int(src[o])
-		if o+itemHdrSize+kl > len(src) {
-			return RawItem{}, scanned, false, fmt.Errorf("%w: truncated item key", ErrCorrupt)
-		}
-		scanned++
-		if kl == len(key) && string(src[o+itemHdrSize:o+itemHdrSize+kl]) == string(key) {
-			return itemAt(src, o), scanned, true, nil
-		}
-		o += itemHdrSize + kl
 	}
-	return RawItem{}, scanned, false, nil
+	return nil, -1, RawItem{}, scanned
 }
 
 // sealBucketBlock writes a block's header around its item count — magic,
 // chain metadata, recovery hints, sequence — and then its CRC, computed with
-// the CRC field zeroed. Marshal and the in-place segment editor both seal
-// through it, so the two write the same header bytes.
+// the CRC field zeroed.
 func sealBucketBlock(dst []byte, segID uint32, chainLen, chainPos uint8, valHead, valTail int64, seq uint64) {
 	binary.LittleEndian.PutUint16(dst[0:], bucketMagic)
 	dst[2] = chainLen
@@ -233,6 +175,12 @@ func putItem(dst []byte, at int, key []byte, it RawItem) {
 	copy(dst[at+itemHdrSize:], key)
 }
 
+// keyAt returns the key of the item at byte offset at of a block, aliasing
+// the block.
+func keyAt(src []byte, at int) []byte {
+	return src[at+itemHdrSize : at+itemHdrSize+int(src[at])]
+}
+
 // itemAt decodes the value fields of the item at byte offset at of a block.
 func itemAt(src []byte, at int) RawItem {
 	return RawItem{
@@ -250,71 +198,17 @@ func setItemAt(dst []byte, at int, it RawItem) {
 	binary.LittleEndian.PutUint64(dst[at+6:], uint64(it.ValOff))
 }
 
-// addItem appends an item after the last one of a checked block and bumps
-// the block's item count. It reports false, leaving the block as it was,
-// when the item does not fit.
+// addItem appends an item after the last one of a checked (or zeroed)
+// block and bumps the block's item count. It reports false, leaving the
+// block as it was, when the item does not fit.
 func addItem(dst, key []byte, it RawItem) bool {
-	end := itemsEnd(dst)
+	end, _ := eachItem(dst, nil)
 	if len(dst)-end < itemHdrSize+len(key) {
 		return false
 	}
 	putItem(dst, end, key, it)
 	binary.LittleEndian.PutUint16(dst[12:], binary.LittleEndian.Uint16(dst[12:])+1)
 	return true
-}
-
-// itemsEnd returns the byte offset just past the last item of a block whose
-// item layout has been checked (locateItem checks every block it passes).
-func itemsEnd(src []byte) int {
-	o := bucketHdrSize
-	for n := binary.LittleEndian.Uint16(src[12:]); n > 0; n-- {
-		o += itemHdrSize + int(src[o])
-	}
-	return o
-}
-
-// locateItem checks every block of a serialized segment array — CRC and
-// item layout, as parsing each block with UnmarshalBucket would — and finds
-// key's item in place. blk and at are the block index and byte offset of the
-// item, blk < 0 when the key is absent. scanned counts the items inspected
-// up to and including the match (every item on a miss): the count findItem
-// charges. Unlike a GET's ScanBucketBlock walk, which may stop at the match,
-// an editor reseals every block, so it must vet every block first.
-func locateItem(img []byte, bs int, key []byte) (blk, at int, scanned int64, err error) {
-	blk, at = -1, -1
-	for i := 0; (i+1)*bs <= len(img); i++ {
-		src := img[i*bs : (i+1)*bs]
-		if err := VerifyBucketBlock(src); err != nil {
-			return -1, -1, 0, err
-		}
-		o := bucketHdrSize
-		for n := binary.LittleEndian.Uint16(src[12:]); n > 0; n-- {
-			if o+itemHdrSize > len(src) {
-				return -1, -1, 0, fmt.Errorf("%w: truncated item header", ErrCorrupt)
-			}
-			kl := int(src[o])
-			if o+itemHdrSize+kl > len(src) {
-				return -1, -1, 0, fmt.Errorf("%w: truncated item key", ErrCorrupt)
-			}
-			if blk < 0 {
-				scanned++
-				if kl == len(key) && string(src[o+itemHdrSize:o+itemHdrSize+kl]) == string(key) {
-					blk, at = i, o
-				}
-			}
-			o += itemHdrSize + kl
-		}
-	}
-	return blk, at, scanned, nil
-}
-
-// ProbeBucket cheaply checks whether a block looks like a valid bucket
-// without the CRC copy; used by recovery scans.
-func ProbeBucket(src []byte) bool {
-	if len(src) < bucketHdrSize {
-		return false
-	}
-	return binary.LittleEndian.Uint16(src[0:]) == bucketMagic
 }
 
 // ValueEntrySize returns the marshaled size of a value-log entry.

@@ -64,8 +64,8 @@ func TestBucketBadMagic(t *testing.T) {
 	if _, err := UnmarshalBucket(blk); err == nil {
 		t.Fatal("zero block parsed as bucket")
 	}
-	if ProbeBucket(blk) {
-		t.Fatal("ProbeBucket accepted zero block")
+	if checkBlock(blk) == nil {
+		t.Fatal("checkBlock accepted zero block")
 	}
 }
 

@@ -16,12 +16,41 @@ import (
 
 // valEntryRef is one parsed value-log entry within a compaction chunk.
 type valEntryRef struct {
-	off  int64 // logical offset in the value log
-	size int64
-	key  []byte
-	data []byte // full entry bytes (aliases the chunk)
+	off   int64 // logical offset in the value log
+	size  int64
+	key   []byte
+	data  []byte // full entry bytes (aliases the chunk)
+	seg   uint32
+	next  int // index of the next entry of the same segment, or -1
+	done  bool
+	moved bool // relocated this round; undone if the array append fails
+}
+
+// keyArrayRef is one segment array within a key-log compaction chunk.
+type keyArrayRef struct {
+	off  int64
 	seg  uint32
+	data []byte // the array's bytes (aliases the chunk)
 	done bool
+}
+
+// compactRefs is the store-owned scratch of compaction rounds, reused from
+// round to round so a round allocates nothing per array or entry. Rounds
+// never overlap (Store.compacting), so one set serves both logs.
+type compactRefs struct {
+	vals   []valEntryRef
+	groups []int          // index of each segment's first entry in vals
+	last   map[uint32]int // segment -> index of its latest entry so far
+	arrays []keyArrayRef
+}
+
+// reset empties the scratch, keeping its capacity but dropping its
+// references into the last round's chunk.
+func (r *compactRefs) reset() {
+	clear(r.vals)
+	clear(r.arrays)
+	clear(r.last)
+	r.vals, r.groups, r.arrays = r.vals[:0], r.groups[:0], r.arrays[:0]
 }
 
 // fetchChunk returns a chunk of up to want bytes from the log head, using
@@ -78,6 +107,24 @@ func (s *Store) prefetchNext(log *CircLog, pf *prefetchBuf) {
 	*pf = prefetchBuf{valid: true, off: log.Head(), buf: buf, ev: ev}
 }
 
+// finishRound ends a round that finished every record before newHead: it
+// releases the log up to there, retires the reclaimed bytes from *garbage,
+// prefetches the next chunk and, when the head moved, persists it. It
+// returns the bytes reclaimed.
+func (s *Store) finishRound(p runtime.Task, log *CircLog, pf *prefetchBuf, garbage *int64, head, newHead int64) int64 {
+	reclaimed := newHead - head
+	if reclaimed > 0 {
+		log.ReleaseTo(newHead)
+		*garbage = max(*garbage-reclaimed, 0)
+		s.stats.ReclaimedBytes += reclaimed
+	}
+	s.prefetchNext(log, pf)
+	if reclaimed > 0 {
+		s.writeSuperblock(p)
+	}
+	return reclaimed
+}
+
 // CompactValueLog runs one value-log compaction round and returns the bytes
 // reclaimed. Pending swapped values are merged back first (§3.6: the swap
 // region is merged back during future compactions).
@@ -107,95 +154,83 @@ func (s *Store) CompactValueLog(p runtime.Task) (int64, error) {
 	}
 	head := s.valLog.Head()
 
-	// Parse complete entries out of the chunk.
-	var entries []*valEntryRef
+	// Parse complete entries out of the chunk, then group them by segment,
+	// preserving first-appearance order for determinism.
+	r := &s.refs
+	defer r.reset()
 	pos := int64(0)
 	for pos < int64(len(chunk)) {
 		key, _, size, perr := ParseValueEntry(chunk[pos:])
 		if perr != nil {
 			break // straddling or not-yet-durable record: stop the round here
 		}
-		e := &valEntryRef{
+		r.vals = append(r.vals, valEntryRef{
 			off:  head + pos,
 			size: int64(size),
 			key:  key,
 			data: chunk[pos : pos+int64(size)],
 			seg:  SegmentOf(HashKey(key), s.cfg.NumSegments),
-		}
-		entries = append(entries, e)
+			next: -1,
+		})
 		pos += int64(size)
 	}
-	if len(entries) == 0 {
+	if len(r.vals) == 0 {
 		return 0, nil
 	}
-
-	// Group by segment, preserving first-appearance order for determinism.
-	groupIdx := make(map[uint32]int)
-	var groups [][]*valEntryRef
-	for _, e := range entries {
-		gi, ok := groupIdx[e.seg]
-		if !ok {
-			gi = len(groups)
-			groupIdx[e.seg] = gi
-			groups = append(groups, nil)
+	for i := range r.vals {
+		if last, ok := r.last[r.vals[i].seg]; ok {
+			r.vals[last].next = i
+		} else {
+			r.groups = append(r.groups, i)
 		}
-		groups[gi] = append(groups[gi], e)
+		r.last[r.vals[i].seg] = i
 	}
 
-	s.runSubcompactions(p, len(groups), func(w runtime.Task, gi int) {
-		s.compactValGroup(w, groups[gi])
+	s.runSubcompactions(p, len(r.groups), func(w runtime.Task, gi int) {
+		s.compactValGroup(w, r.groups[gi])
 	})
 
 	// Advance the head past the contiguous prefix of finished entries.
 	newHead := head
-	for _, e := range entries {
+	for _, e := range r.vals {
 		if !e.done {
 			break
 		}
 		newHead = e.off + e.size
 	}
-	reclaimed := newHead - head
-	if reclaimed > 0 {
-		s.valLog.ReleaseTo(newHead)
-		s.valGarbage -= reclaimed
-		if s.valGarbage < 0 {
-			s.valGarbage = 0
-		}
-		s.stats.ReclaimedBytes += reclaimed
-	}
-	s.prefetchNext(s.valLog, &s.vpf)
-	if reclaimed > 0 {
-		s.writeSuperblock(p)
-	}
-	return reclaimed, nil
+	return s.finishRound(p, s.valLog, &s.vpf, &s.valGarbage, head, newHead), nil
 }
 
-// compactValGroup processes all chunk entries belonging to one segment.
-func (s *Store) compactValGroup(p runtime.Task, group []*valEntryRef) {
-	seg := group[0].seg
+// compactValGroup processes the chunk entries of one segment, linked from
+// s.refs.vals[first]. The array is checked once; relocations then patch it
+// in place, staling its CRCs until appendSegment reseals it.
+func (s *Store) compactValGroup(p runtime.Task, first int) {
+	vals := s.refs.vals
+	seg := vals[first].seg
 	var st OpStats
 	s.segs.Lock(p, seg)
 	defer s.segs.Unlock(seg)
 
-	buckets, found, err := s.loadSegment(p, &st, seg)
-	if err != nil {
+	img, found, err := s.readImage(p, &st, seg)
+	defer s.putBuf(img)
+	bs := s.cfg.BlockSize
+	if err != nil || checkImage(img, bs) != nil {
 		return
 	}
 	if !found {
-		for _, e := range group {
-			e.done = true // segment gone: every entry is dead
+		for i := first; i >= 0; i = vals[i].next {
+			vals[i].done = true // segment gone: every entry is dead
 		}
 		return
 	}
-	var relocated []*valEntryRef
-	for _, e := range group {
+	relocated := false
+	for i := first; i >= 0; i = vals[i].next {
+		e := &vals[i]
 		s.cpu(p, &st, s.cfg.Costs.CompactItem)
-		bi, ii := s.findItem(p, &st, buckets, e.key)
-		live := bi >= 0 && !buckets[bi].Items[ii].Deleted() &&
-			buckets[bi].Items[ii].SSDID == s.cfg.DevID &&
-			buckets[bi].Items[ii].ValOff == e.off
-		if !live {
-			e.done = true
+		b, at, it, scanned := findItem(img, bs, e.key)
+		s.cpu(p, &st, scanned*s.cfg.Costs.ItemScan)
+		if it.Deleted() || it.SSDID != s.cfg.DevID || it.ValOff != e.off {
+			e.done = true // dead: overwritten, deleted or swapped out
 			continue
 		}
 		newOff, ev, aerr := s.valLog.Append(e.data)
@@ -206,32 +241,27 @@ func (s *Store) compactValGroup(p runtime.Task, group []*valEntryRef) {
 		if s.ssdWait(p, &st, ev) != nil {
 			break
 		}
-		buckets[bi].Items[ii].ValOff = newOff
+		it.ValOff = newOff
+		setItemAt(b, at, it)
 		s.valGarbage += e.size // the old copy is now dead
 		s.stats.RelocatedItems++
-		e.done = true
-		relocated = append(relocated, e)
+		e.done, e.moved = true, true
+		relocated = true
 	}
-	if len(relocated) > 0 {
-		if err := s.writeSegment(p, &st, seg, buckets); err != nil {
-			// Segment write failed: the relocated copies are orphaned
-			// (harmless garbage) and the old offsets stay authoritative, so
-			// the head must not pass the relocated entries.
-			for _, e := range relocated {
+	if !relocated {
+		return
+	}
+	if err := s.appendSegment(p, &st, seg, img, nil); err != nil {
+		// Segment write failed: the relocated copies are orphaned
+		// (harmless garbage) and the old offsets stay authoritative, so
+		// the head must not pass the relocated entries.
+		for i := first; i >= 0; i = vals[i].next {
+			if e := &vals[i]; e.moved {
 				e.done = false
 				s.valGarbage -= e.size
 			}
 		}
 	}
-}
-
-// keyArrayRef is one parsed segment array within a key-log chunk.
-type keyArrayRef struct {
-	off   int64
-	seg   uint32
-	chain int
-	data  []byte
-	done  bool
 }
 
 // CompactKeyLog runs one key-log compaction round: dead segment arrays are
@@ -257,54 +287,37 @@ func (s *Store) CompactKeyLog(p runtime.Task) (int64, error) {
 	}
 	head := s.keyLog.Head()
 
-	var arrays []*keyArrayRef
+	r := &s.refs
+	defer r.reset()
 	pos := int64(0)
 	for pos+bs <= int64(len(chunk)) {
-		b0, perr := UnmarshalBucket(chunk[pos : pos+bs])
-		if perr != nil {
+		if checkBlock(chunk[pos:pos+bs]) != nil {
 			break
 		}
-		clen := int64(b0.ChainLen)
+		h := headerOf(chunk[pos : pos+bs])
+		clen := int64(h.chainLen)
 		if clen == 0 || pos+clen*bs > int64(len(chunk)) {
 			break
 		}
-		arrays = append(arrays, &keyArrayRef{
-			off:   head + pos,
-			seg:   b0.SegID,
-			chain: int(clen),
-			data:  chunk[pos : pos+clen*bs],
-		})
+		r.arrays = append(r.arrays, keyArrayRef{off: head + pos, seg: h.segID, data: chunk[pos : pos+clen*bs]})
 		pos += clen * bs
 	}
-	if len(arrays) == 0 {
+	if len(r.arrays) == 0 {
 		return 0, nil
 	}
 
-	s.runSubcompactions(p, len(arrays), func(w runtime.Task, ai int) {
-		s.compactKeyArray(w, arrays[ai])
+	s.runSubcompactions(p, len(r.arrays), func(w runtime.Task, ai int) {
+		s.compactKeyArray(w, &r.arrays[ai])
 	})
 
 	newHead := head
-	for _, a := range arrays {
+	for _, a := range r.arrays {
 		if !a.done {
 			break
 		}
-		newHead = a.off + int64(a.chain)*bs
+		newHead = a.off + int64(len(a.data))
 	}
-	reclaimed := newHead - head
-	if reclaimed > 0 {
-		s.keyLog.ReleaseTo(newHead)
-		s.keyGarbage -= reclaimed
-		if s.keyGarbage < 0 {
-			s.keyGarbage = 0
-		}
-		s.stats.ReclaimedBytes += reclaimed
-	}
-	s.prefetchNext(s.keyLog, &s.kpf)
-	if reclaimed > 0 {
-		s.writeSuperblock(p)
-	}
-	return reclaimed, nil
+	return s.finishRound(p, s.keyLog, &s.kpf, &s.keyGarbage, head, newHead), nil
 }
 
 // compactKeyArray decides one array's fate: dead, skipped (locked), or
@@ -322,37 +335,39 @@ func (s *Store) compactKeyArray(p runtime.Task, a *keyArrayRef) {
 	}
 	defer s.segs.Unlock(a.seg)
 
-	buckets, err := s.parseSegment(a.data, a.chain)
-	if err != nil {
+	// Prune deletion markers and repack the survivors densely, in order,
+	// into a zeroed image: an item that does not fit the last block opens
+	// the next. The repack never needs more blocks than the array had.
+	bs := s.cfg.BlockSize
+	if checkImage(a.data, bs) != nil {
 		return
 	}
-	// Prune deletion markers and repack the survivors densely.
-	var live []Item
-	total := 0
-	for _, b := range buckets {
-		for _, it := range b.Items {
+	img := s.getBuf(len(a.data))
+	defer s.putBuf(img)
+	clear(img)
+	total, chain := 0, 0
+	for i := 0; i < len(a.data); i += bs {
+		src := a.data[i : i+bs]
+		eachItem(src, func(at int) bool {
 			total++
-			if !it.Deleted() {
-				live = append(live, it)
+			if it := itemAt(src, at); !it.Deleted() {
+				key := keyAt(src, at)
+				if chain == 0 || !addItem(img[(chain-1)*bs:chain*bs], key, it) {
+					chain++
+					addItem(img[(chain-1)*bs:chain*bs], key, it)
+				}
 			}
-		}
+			return true
+		})
 	}
 	s.cpu(p, &st, int64(total)*s.cfg.Costs.CompactItem)
-	if len(live) == 0 {
+	if chain == 0 {
 		s.segs.Clear(a.seg)
 		a.done = true
 		return
 	}
-	repacked := []*Bucket{{}}
-	for _, it := range live {
-		last := repacked[len(repacked)-1]
-		if last.SpaceLeft(s.cfg.BlockSize) < it.Size() {
-			last = &Bucket{}
-			repacked = append(repacked, last)
-		}
-		last.Items = append(last.Items, it)
-	}
-	if err := s.writeSegment(p, &st, a.seg, repacked); err != nil {
+	img = img[:chain*bs]
+	if err := s.appendSegment(p, &st, a.seg, img, nil); err != nil {
 		return
 	}
 	a.done = true

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"leed/internal/flashsim"
+	"leed/internal/runtime"
 	"leed/internal/sim"
 )
 
@@ -31,14 +33,30 @@ func TestHashKeyMatchesFnv(t *testing.T) {
 	}
 }
 
-// TestGetIntoMatchesGet drives both read paths over the same populated
-// store — including deletes, overwrites, and misses — and demands identical
-// values, errors, and cost accounting.
+// cycleExec charges a compute phase as one virtual nanosecond per cycle,
+// so OpStats.CPU reads back the cycles a command charged.
+type cycleExec struct{}
+
+func (cycleExec) Compute(p runtime.Task, cycles int64) { p.Sleep(runtime.Time(cycles)) }
+
+// TestGetIntoMatchesGet pins the one GET's cost accounting over a populated
+// store — deletes, overwrites, misses, empty segments — against the parsed
+// reference: Get and GetInto return the same value, error and OpStats, two
+// device reads for a hit, one for a miss in a non-empty segment, none for an
+// empty one, and CPU of exactly HashLookup + ItemScan per item the parsed
+// reference's Find passes up to and including the match (every item on a
+// miss) + ValueParse on a hit.
 func TestGetIntoMatchesGet(t *testing.T) {
 	k := sim.New()
 	defer k.Close()
-	s := newTestStore(k)
+	dev := flashsim.NewMemDevice(k, 4<<20)
+	s := NewStore(Config{
+		Env: k, Device: dev, Exec: cycleExec{}, NumSegments: 64,
+		KeyLogBytes: 1 << 20, ValLogBytes: 2 << 20,
+	})
+	c := s.cfg.Costs
 	rng := rand.New(rand.NewSource(7))
+	var hits, misses, empty int
 	runStore(k, func(p *sim.Proc) {
 		vals := map[string][]byte{}
 		for i := 0; i < 300; i++ {
@@ -57,19 +75,48 @@ func TestGetIntoMatchesGet(t *testing.T) {
 		}
 		for i := 0; i < 140; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i))
+			want := OpStats{CPU: runtime.Time(c.HashLookup)}
+			var scanned int64
+			found := false
+			if img := segmentImage(s, dev, SegmentOf(HashKey(key), s.cfg.NumSegments)); img != nil {
+				want.Reads = 1
+				for _, b := range refParse(t, s.cfg.BlockSize, img) {
+					if j := b.Find(key); j >= 0 {
+						scanned += int64(j + 1)
+						found = !b.Items[j].Deleted()
+						break
+					}
+					scanned += int64(len(b.Items))
+				}
+				want.CPU += runtime.Time(scanned * c.ItemScan)
+			}
+			if found {
+				want.Reads = 2
+				want.CPU += runtime.Time(c.ValueParse)
+			}
+
 			v1, st1, err1 := s.Get(p, key)
 			v2, st2, err2 := s.GetInto(p, key, nil)
-			if (err1 == nil) != (err2 == nil) || (err1 != nil && err1 != err2) {
-				t.Fatalf("key %q: Get err %v, GetInto err %v", key, err1, err2)
+			if err1 != err2 || !bytes.Equal(v1, v2) {
+				t.Fatalf("key %q: Get %q, %v; GetInto %q, %v", key, v1, err1, v2, err2)
 			}
-			if !bytes.Equal(v1, v2) {
-				t.Fatalf("key %q: Get %q, GetInto %q", key, v1, v2)
+			for _, st := range []OpStats{st1, st2} {
+				if st.Reads != want.Reads || st.CPU != want.CPU || st.Writes != 0 {
+					t.Fatalf("key %q: stats %+v, want %d reads and %v CPU", key, st, want.Reads, want.CPU)
+				}
 			}
-			if st1 != st2 {
-				t.Fatalf("key %q: Get stats %+v, GetInto stats %+v", key, st1, st2)
-			}
-			if err1 == nil && !bytes.Equal(v1, vals[string(key)]) {
-				t.Fatalf("key %q: wrong value", key)
+			switch {
+			case found:
+				hits++
+				if err1 != nil || !bytes.Equal(v1, vals[string(key)]) {
+					t.Fatalf("key %q: got %q, %v; want %q", key, v1, err1, vals[string(key)])
+				}
+			case err1 != ErrNotFound:
+				t.Fatalf("key %q: err %v, want ErrNotFound", key, err1)
+			case want.Reads == 0:
+				empty++
+			default:
+				misses++
 			}
 		}
 		// Appending into a caller buffer extends rather than clobbers.
@@ -89,6 +136,9 @@ func TestGetIntoMatchesGet(t *testing.T) {
 			t.Fatalf("GetInto append = %q, want %q", out, want)
 		}
 	})
+	if hits == 0 || misses == 0 || empty == 0 {
+		t.Fatalf("cases: %d hits, %d misses, %d empty segments; want each", hits, misses, empty)
+	}
 }
 
 // TestGetIntoSyncReads exercises the SyncReader fast path: with inline
@@ -134,9 +184,11 @@ func TestGetIntoSyncReads(t *testing.T) {
 	})
 }
 
-// TestVerifyBucketBlockMatchesUnmarshal checks the copy-free CRC
-// verification agrees with UnmarshalBucket on both valid and corrupt
-// blocks.
+// TestVerifyBucketBlockMatchesUnmarshal checks that checkBlock accepts and
+// rejects exactly the blocks UnmarshalBucket does — flipped bytes anywhere,
+// and resealed blocks whose item count overruns the layout — and that
+// findItem finds what the parsed bucket's Find finds, with the same scan
+// count.
 func TestVerifyBucketBlockMatchesUnmarshal(t *testing.T) {
 	b := &Bucket{SegID: 3, ChainLen: 1, Seq: 9}
 	for i := 0; i < 5; i++ {
@@ -148,23 +200,36 @@ func TestVerifyBucketBlockMatchesUnmarshal(t *testing.T) {
 	if err := b.Marshal(blk); err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if err := VerifyBucketBlock(blk); err != nil {
-		t.Fatalf("verify valid block: %v", err)
+	if err := checkBlock(blk); err != nil {
+		t.Fatalf("check valid block: %v", err)
 	}
-	it, scanned, found, err := ScanBucketBlock(blk, []byte("key-3"))
-	if err != nil || !found || scanned != 4 || it.ValOff != 3*64 {
-		t.Fatalf("scan: it=%+v scanned=%d found=%v err=%v", it, scanned, found, err)
+	got, at, it, scanned := findItem(blk, len(blk), []byte("key-3"))
+	if got == nil || scanned != 4 || it.ValOff != 3*64 || string(keyAt(got, at)) != "key-3" {
+		t.Fatalf("find: at=%d it=%+v scanned=%d", at, it, scanned)
 	}
-	if _, scanned, found, _ := ScanBucketBlock(blk, []byte("nope")); found || scanned != 5 {
-		t.Fatalf("scan miss: scanned=%d found=%v", scanned, found)
+	if got, _, it, scanned := findItem(blk, len(blk), []byte("nope")); got != nil || !it.Deleted() || scanned != 5 {
+		t.Fatalf("find miss: scanned=%d", scanned)
+	}
+	if end, err := eachItem(blk, nil); err != nil || end != bucketHdrSize+b.itemsBytes() {
+		t.Fatalf("eachItem end = %d (%v), want %d", end, err, bucketHdrSize+b.itemsBytes())
 	}
 	for _, flip := range []int{0, 9, 50, 200} {
 		bad := append([]byte(nil), blk...)
 		bad[flip] ^= 0x40
-		vErr := VerifyBucketBlock(bad)
+		vErr := checkBlock(bad)
 		_, uErr := UnmarshalBucket(bad)
 		if (vErr == nil) != (uErr == nil) {
-			t.Fatalf("flip byte %d: VerifyBucketBlock %v, UnmarshalBucket %v", flip, vErr, uErr)
+			t.Fatalf("flip byte %d: checkBlock %v, UnmarshalBucket %v", flip, vErr, uErr)
+		}
+	}
+	for _, count := range []uint16{32, 40, 0xffff} {
+		bad := append([]byte(nil), blk...)
+		binary.LittleEndian.PutUint16(bad[12:], count)
+		sealBucketBlock(bad, 3, 1, 0, 0, 0, 9)
+		vErr := checkBlock(bad)
+		_, uErr := UnmarshalBucket(bad)
+		if vErr == nil || uErr == nil {
+			t.Fatalf("item count %d: checkBlock %v, UnmarshalBucket %v", count, vErr, uErr)
 		}
 	}
 }

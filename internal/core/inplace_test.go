@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,16 +24,24 @@ func inplaceStore(k sim.Runner, dev flashsim.Device) *Store {
 	})
 }
 
-// segmentImage returns a copy of seg's current array as the device holds it,
-// or nil when the segment is empty.
+// segmentImage returns a copy of seg's current array as dev holds it, or
+// nil when the segment is empty.
 func segmentImage(s *Store, dev *flashsim.MemDevice, seg uint32) []byte {
-	off, chain, ok := s.segs.Lookup(seg)
-	if !ok {
-		return nil
+	return arrayImage(s, map[uint8]*flashsim.MemDevice{s.cfg.DevID: dev}, seg)
+}
+
+// refParse parses every block of a segment image with UnmarshalBucket.
+func refParse(t *testing.T, bs int, img []byte) []*Bucket {
+	t.Helper()
+	var buckets []*Bucket
+	for i := 0; i < len(img); i += bs {
+		b, err := UnmarshalBucket(img[i : i+bs])
+		if err != nil {
+			t.Fatalf("reference parse: %v", err)
+		}
+		buckets = append(buckets, b)
 	}
-	img := make([]byte, s.segBytes(chain))
-	dev.SyncRead(img, s.keyLog.phys(off))
-	return img
+	return buckets
 }
 
 // refEdit is the parse → edit reference for one PUT or DEL: it parses prev
@@ -41,14 +50,7 @@ func segmentImage(s *Store, dev *flashsim.MemDevice, seg uint32) []byte {
 // operation must return (and then no array is written).
 func refEdit(t *testing.T, s *Store, prev []byte, op byte, key []byte, it Item) ([]*Bucket, error) {
 	bs := s.cfg.BlockSize
-	var buckets []*Bucket
-	for i := 0; i*bs < len(prev); i++ {
-		b, err := UnmarshalBucket(prev[i*bs : (i+1)*bs])
-		if err != nil {
-			t.Fatalf("reference parse: %v", err)
-		}
-		buckets = append(buckets, b)
-	}
+	buckets := refParse(t, bs, prev)
 	bi, ii := -1, -1
 	for i, b := range buckets {
 		if j := b.Find(key); j >= 0 {
@@ -206,4 +208,239 @@ func TestInPlaceEditMatchesMarshal(t *testing.T) {
 			t.Fatalf("recovered %q = %q, want %q", key, got[key], want)
 		}
 	}
+}
+
+// arrayImage returns a copy of seg's current array from wherever it lives —
+// the home key log or a peer's swap region — or nil when the segment is
+// empty. devs maps each store's DevID to its device.
+func arrayImage(s *Store, devs map[uint8]*flashsim.MemDevice, seg uint32) []byte {
+	off, chain, ok := s.segs.Lookup(seg)
+	if !ok {
+		return nil
+	}
+	dev, log := devs[s.cfg.DevID], s.keyLog
+	if devID, remote := s.segs.Location(seg); remote {
+		dev, log = devs[devID], s.peers[devID].swapLog
+	}
+	img := make([]byte, s.segBytes(chain))
+	first := min(int64(len(img)), log.size-off%log.size) // the array may wrap
+	dev.SyncRead(img[:first], log.phys(off))
+	dev.SyncRead(img[first:], log.phys(off+first))
+	return img
+}
+
+// refMarshal marshals buckets as one array of seg, taking the recovery
+// hints and sequence number from got's first block: when an array is
+// sealed is the store's business, what it holds is the reference's.
+func refMarshal(t *testing.T, bs int, seg uint32, buckets []*Bucket, got []byte) []byte {
+	t.Helper()
+	img := make([]byte, len(buckets)*bs)
+	h := headerOf(got)
+	for j, b := range buckets {
+		b.SegID, b.ChainLen, b.ChainPos = seg, uint8(len(buckets)), uint8(j)
+		b.ValHeadHint = int64(binary.LittleEndian.Uint64(got[16:]))
+		b.ValTailHint, b.Seq = h.valTail, h.seq
+		if err := b.Marshal(img[j*bs : (j+1)*bs]); err != nil {
+			t.Fatalf("reference marshal: %v", err)
+		}
+	}
+	return img
+}
+
+// TestCompactionArraysMatchMarshal runs a seeded mix of PUTs, swapped PUTs
+// and DELs on a small log, interleaved with key-log compaction, value-log
+// compaction and merge-back rounds, and demands that every array a round
+// appends is byte for byte what parsing the array it replaced with
+// UnmarshalBucket, applying the round's edit and marshaling writes:
+//   - key-log compaction: the non-deleted items repacked densely in order
+//     (a segment left with none is cleared instead);
+//   - value-log compaction: every home item whose value sat in the chunk
+//     the head passed gets a new offset past the old tail, nothing else
+//     changes;
+//   - merge-back: every swapped item comes home at a new offset past the
+//     old tail, and the array lives at home again.
+//
+// Arrays a round did not append must not move.
+func TestCompactionArraysMatchMarshal(t *testing.T) {
+	k := sim.New()
+	defer k.Close()
+	devs := map[uint8]*flashsim.MemDevice{}
+	mk := func(devID uint8) *Store {
+		devs[devID] = flashsim.NewMemDevice(k, 1<<20)
+		return NewStore(Config{
+			Env: k, Device: devs[devID], DevID: devID, NumSegments: 4, BlockSize: 128, MaxChain: 4,
+			KeyLogBytes: 96 << 10, ValLogBytes: 96 << 10, SwapLogBytes: 64 << 10,
+			CompactChunk: 2 << 10, MergeOK: func() bool { return false },
+		})
+	}
+	s, helper := mk(0), mk(1)
+	s.AddPeer(helper)
+	helper.AddPeer(s)
+	bs := s.cfg.BlockSize
+	var repacks, shrinks, clears, relocations, merges, remoteMerges int
+
+	// round runs one round of kind K, V or M and checks every array it
+	// appended; it returns the bytes the round reclaimed.
+	round := func(p *sim.Proc, kind byte) int64 {
+		var prev [4][]byte
+		var prevOff [4]int64
+		var prevRemote [4]bool
+		for seg := range prev {
+			prev[seg] = arrayImage(s, devs, uint32(seg))
+			prevOff[seg], _, _ = s.segs.Lookup(uint32(seg))
+			_, prevRemote[seg] = s.segs.Location(uint32(seg))
+		}
+		valHead, valTail := s.valLog.Head(), s.valLog.Tail()
+		var reclaimed int64
+		var err error
+		switch kind {
+		case 'K':
+			reclaimed, err = s.CompactKeyLog(p)
+		case 'V':
+			reclaimed, err = s.CompactValueLog(p)
+		case 'M':
+			_, err = s.Mergeback(p, 64)
+		}
+		if err != nil {
+			t.Fatalf("round %c: %v", kind, err)
+		}
+		newValHead := s.valLog.Head()
+		for seg := uint32(0); seg < 4; seg++ {
+			if off, _, ok := s.segs.Lookup(seg); prev[seg] == nil || ok && off == prevOff[seg] {
+				continue // the round appended nothing for seg
+			}
+			buckets := refParse(t, bs, prev[seg])
+			got := arrayImage(s, devs, seg)
+			// moved reports whether the round must give item it a new value
+			// offset; the edit keeps every item where it was.
+			var moved func(it Item) bool
+			switch kind {
+			case 'K':
+				repacked := []*Bucket{{}}
+				for _, b := range buckets {
+					for _, it := range b.Items {
+						if it.Deleted() {
+							continue
+						}
+						if repacked[len(repacked)-1].SpaceLeft(bs) < it.Size() {
+							repacked = append(repacked, &Bucket{})
+						}
+						last := repacked[len(repacked)-1]
+						last.Items = append(last.Items, it)
+					}
+				}
+				if len(repacked[0].Items) == 0 {
+					if got != nil {
+						t.Fatalf("key compaction kept seg %d with no live items", seg)
+					}
+					clears++
+					continue
+				}
+				if len(repacked) < len(buckets) {
+					shrinks++
+				}
+				repacks++
+				buckets = repacked
+			case 'V':
+				moved = func(it Item) bool {
+					return !it.Deleted() && it.SSDID == s.cfg.DevID && it.ValOff >= valHead && it.ValOff < newValHead
+				}
+			case 'M':
+				moved = func(it Item) bool { return !it.Deleted() && it.SSDID != s.cfg.DevID }
+				if _, remote := s.segs.Location(seg); remote {
+					t.Fatalf("merge-back left seg %d remote", seg)
+				}
+				if prevRemote[seg] {
+					remoteMerges++
+				}
+			}
+			if moved != nil {
+				gotBuckets := refParse(t, bs, got)
+				for j, b := range buckets {
+					for m := range b.Items {
+						it := &b.Items[m]
+						if !moved(*it) || j >= len(gotBuckets) || m >= len(gotBuckets[j].Items) {
+							continue
+						}
+						if newOff := gotBuckets[j].Items[m].ValOff; newOff >= valTail {
+							it.ValOff, it.SSDID = newOff, s.cfg.DevID
+							if kind == 'V' {
+								relocations++
+							} else {
+								merges++
+							}
+						}
+					}
+				}
+			}
+			if want := refMarshal(t, bs, seg, buckets, got); !bytes.Equal(got, want) {
+				t.Fatalf("round %c seg %d: appended array differs from parse → edit → Marshal\n got %x\nwant %x", kind, seg, got, want)
+			}
+		}
+		return reclaimed
+	}
+
+	model := map[string]string{}
+	runStore(k, func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 3000; i++ {
+			n := rng.Intn(40)
+			key := []byte(fmt.Sprintf("k%d%s", n, strings.Repeat("y", n%7)))
+			val := bytes.Repeat([]byte{byte('a' + i%26)}, 1+rng.Intn(60))
+			var err error
+			switch r := rng.Intn(20); {
+			case r < 4:
+				if _, err = s.Del(p, key); err == nil {
+					delete(model, string(key))
+				}
+			case r < 6 && s.SwapBacklog() < 3:
+				if _, err = s.PutSwapped(p, key, val, helper); err == nil {
+					model[string(key)] = string(val)
+				}
+			default:
+				if _, err = s.Put(p, key, val); err == nil {
+					model[string(key)] = string(val)
+				}
+			}
+			if err != nil && err != ErrNotFound && err != ErrSegmentFull {
+				t.Fatalf("op %d %q: %v", i, key, err)
+			}
+			if i%10 != 9 {
+				continue
+			}
+			kind := "KVM"[rng.Intn(3)]
+			if i%1000 == 999 {
+				// Delete everything so key compaction clears segments.
+				for n := 0; n < 40; n++ {
+					key := fmt.Sprintf("k%d%s", n, strings.Repeat("y", n%7))
+					s.Del(p, []byte(key))
+					delete(model, key)
+				}
+				kind = 'K'
+			}
+			// Key-log rounds repeat until the head reaches live arrays.
+			switch kind {
+			case 'K':
+				for r := 0; r < 40 && round(p, kind) > 0; r++ {
+				}
+			default:
+				round(p, kind)
+			}
+		}
+		for key, want := range model {
+			if got, _, err := s.Get(p, []byte(key)); err != nil || string(got) != want {
+				t.Fatalf("get %q = %q, %v; want %q", key, got, err, want)
+			}
+		}
+	})
+	for name, n := range map[string]int{
+		"key-compaction repacks": repacks, "repacks that shrink a chain": shrinks, "cleared segments": clears,
+		"value relocations": relocations, "merged values": merges, "merges of remote arrays": remoteMerges,
+	} {
+		if n == 0 {
+			t.Errorf("the mix exercised no %s", name)
+		}
+	}
+	t.Logf("repacks %d (shrinks %d), clears %d, relocations %d, merges %d (remote arrays %d)",
+		repacks, shrinks, clears, relocations, merges, remoteMerges)
 }

@@ -102,6 +102,36 @@ func (s *Store) Flush(p runtime.Task) error {
 	return s.writeSuperblock(p)
 }
 
+// recoveredArray is the newest array Recover has found for a segment, with
+// the live objects its items account for.
+type recoveredArray struct {
+	off        int64
+	chain      int
+	seq        uint64
+	objects    int64
+	valBytes   int64 // live value bytes
+	entryBytes int64 // live value-entry bytes in the home value log
+	swapped    bool  // some live value sits in a peer's swap region
+}
+
+// addLive adds the live items of one checked block of the array to arr.
+func (s *Store) addLive(arr *recoveredArray, blk []byte) {
+	eachItem(blk, func(at int) bool {
+		it := itemAt(blk, at)
+		if it.Deleted() {
+			return true
+		}
+		arr.objects++
+		arr.valBytes += int64(it.ValLen)
+		if it.SSDID == s.cfg.DevID {
+			arr.entryBytes += int64(ValueEntrySize(int(blk[at]), int(it.ValLen)))
+		} else {
+			arr.swapped = true
+		}
+		return true
+	})
+}
+
 // Recover rebuilds a store's DRAM state from flash. Call it on a freshly
 // constructed Store (same Config) whose region holds a previous instance's
 // data. It returns the number of segments recovered.
@@ -122,8 +152,7 @@ func (s *Store) Recover(p runtime.Task) (int, error) {
 	upper := sb.keyHead + s.keyLog.Size()
 	s.keyLog.Restore(sb.keyHead, upper)
 
-	latest := make(map[uint32][]*Bucket)
-	latestOff := make(map[uint32]int64)
+	latest := make(map[uint32]recoveredArray)
 	maxSeq := sb.seq
 	maxValTail := sb.valTail
 	pos := sb.keyHead
@@ -151,15 +180,19 @@ func (s *Store) Recover(p runtime.Task) (int, error) {
 		}
 		return false
 	}
+	blk := make([]byte, bs)
 scan:
 	for pos+bs <= upper {
-		blk := make([]byte, bs)
 		if err := s.keyLog.Read(p, pos, blk); err != nil {
 			return 0, err
 		}
-		b0, err := UnmarshalBucket(blk)
-		if err != nil || b0.ChainPos != 0 || b0.ChainLen == 0 ||
-			(pos >= sb.keyTail && b0.Seq <= maxSeq) {
+		var h0 blockHdr
+		err := checkBlock(blk)
+		if err == nil {
+			h0 = headerOf(blk)
+		}
+		if err != nil || h0.chainPos != 0 || h0.chainLen == 0 ||
+			(pos >= sb.keyTail && h0.seq <= maxSeq) {
 			// Unparseable garbage, or stale pre-wrap data beyond the durable
 			// tail: a hole or the end of the log — probe to find out.
 			if skipHole() {
@@ -167,42 +200,39 @@ scan:
 			}
 			break
 		}
-		chain := int(b0.ChainLen)
-		buckets := []*Bucket{b0}
-		for i := 1; i < chain; i++ {
-			cblk := make([]byte, bs)
-			if err := s.keyLog.Read(p, pos+int64(i)*bs, cblk); err != nil {
+		arr := recoveredArray{off: pos, chain: int(h0.chainLen), seq: h0.seq}
+		s.addLive(&arr, blk)
+		for i := 1; i < arr.chain; i++ {
+			if err := s.keyLog.Read(p, pos+int64(i)*bs, blk); err != nil {
 				return 0, err
 			}
-			bi, err := UnmarshalBucket(cblk)
-			if err != nil || bi.Seq != b0.Seq || int(bi.ChainPos) != i {
+			if checkBlock(blk) != nil || headerOf(blk).seq != h0.seq || int(headerOf(blk).chainPos) != i {
 				// Torn chain: the head block landed but the rest didn't.
 				if skipHole() {
 					continue scan
 				}
 				break scan
 			}
-			buckets = append(buckets, bi)
+			s.addLive(&arr, blk)
 		}
-		if old, had := latest[b0.SegID]; had {
-			if b0.Seq < old[0].Seq {
+		if old, had := latest[h0.segID]; had {
+			if h0.seq < old.seq {
 				// A hole whose previous-lap content still parses: it predates
 				// the array already recovered for this segment. Step past it.
-				pos += int64(chain) * bs
+				pos += int64(arr.chain) * bs
 				continue
 			}
-			liveKeyBytes -= int64(len(old)) * bs
+			liveKeyBytes -= int64(old.chain) * bs
 		}
-		latest[b0.SegID] = buckets
-		latestOff[b0.SegID] = pos
-		liveKeyBytes += int64(chain) * bs
-		if b0.Seq > maxSeq {
-			maxSeq = b0.Seq
+		latest[h0.segID] = arr
+		liveKeyBytes += int64(arr.chain) * bs
+		if h0.seq > maxSeq {
+			maxSeq = h0.seq
 		}
-		if b0.ValTailHint > maxValTail {
-			maxValTail = b0.ValTailHint
+		if h0.valTail > maxValTail {
+			maxValTail = h0.valTail
 		}
-		pos += int64(chain) * bs
+		pos += int64(arr.chain) * bs
 		end = pos
 		probeBudget = recoveryHoleProbe
 	}
@@ -214,25 +244,14 @@ scan:
 	s.seq = maxSeq
 
 	// Rebuild the SegTbl and derived accounting.
-	liveValBytes := int64(0)
-	liveValEntryBytes := int64(0)
-	objects := int64(0)
-	for seg, buckets := range latest {
-		s.segs.Set(seg, latestOff[seg], len(buckets))
-		for _, b := range buckets {
-			for i := range b.Items {
-				it := &b.Items[i]
-				if it.Deleted() {
-					continue
-				}
-				objects++
-				liveValBytes += int64(it.ValLen)
-				if it.SSDID == s.cfg.DevID {
-					liveValEntryBytes += int64(ValueEntrySize(len(it.Key), int(it.ValLen)))
-				} else {
-					s.pendingSwaps[seg] = struct{}{}
-				}
-			}
+	var objects, liveValBytes, liveValEntryBytes int64
+	for seg, arr := range latest {
+		s.segs.Set(seg, arr.off, arr.chain)
+		objects += arr.objects
+		liveValBytes += arr.valBytes
+		liveValEntryBytes += arr.entryBytes
+		if arr.swapped {
+			s.pendingSwaps[seg] = struct{}{}
 		}
 	}
 	s.stats.Objects = objects
@@ -262,12 +281,11 @@ scan:
 			}
 			var size int64
 			switch {
-			case n >= bucketHdrSize && ProbeBucket(hdr[:n]):
-				b0, berr := UnmarshalBucket(hdr[:n])
-				if berr != nil {
+			case binary.LittleEndian.Uint16(hdr[0:]) == bucketMagic:
+				if checkBlock(hdr[:n]) != nil {
 					return 0, fmt.Errorf("%w: swap log segment at %d", ErrCorrupt, off)
 				}
-				size = int64(b0.ChainLen) * bs
+				size = int64(headerOf(hdr).chainLen) * bs
 			case n >= valueHdrSize && binary.LittleEndian.Uint16(hdr[0:]) == valueMagic:
 				size = int64(ValueEntrySize(int(hdr[2]), int(binary.LittleEndian.Uint32(hdr[4:]))))
 			default:

@@ -105,7 +105,8 @@ type Store struct {
 	kpf prefetchBuf // key-log compaction prefetch
 	vpf prefetchBuf // value-log compaction prefetch
 
-	compacting bool // guards against overlapping whole-log compactions
+	compacting bool        // guards against overlapping whole-log compactions
+	refs       compactRefs // the running round's chunk references
 
 	// bufFree recycles GetInto's segment and value-entry buffers. It is
 	// task-context state: the execution contract serializes every store
@@ -138,6 +139,7 @@ func NewStore(cfg Config) *Store {
 		segs:         NewSegTbl(cfg.NumSegments),
 		peers:        make(map[uint8]*Store),
 		pendingSwaps: make(map[uint32]struct{}),
+		refs:         compactRefs{last: make(map[uint32]int)},
 		swapMeta:     make(map[int64]int64),
 		swapMerged:   make(map[int64]bool),
 	}
@@ -207,61 +209,10 @@ func (s *Store) segBytes(chainLen int) int64 {
 	return int64(chainLen) * int64(s.cfg.BlockSize)
 }
 
-// loadSegment looks up and reads a segment's current array. found is false
-// when the segment is empty. Caller holds the lock. The read takes GetInto's
-// lane — a recycled buffer, inline when the device is a SyncReader — and the
-// buffer goes straight back: parsed buckets never alias it.
-func (s *Store) loadSegment(p runtime.Task, st *OpStats, seg uint32) (buckets []*Bucket, found bool, err error) {
-	off, chainLen, ok := s.segs.Lookup(seg)
-	if !ok {
-		return nil, false, nil
-	}
-	buf := s.getBuf(int(s.segBytes(chainLen)))
-	defer s.putBuf(buf)
-	if err := s.readSegmentInto(p, st, seg, off, buf); err != nil {
-		return nil, true, err
-	}
-	b, err := s.parseSegment(buf, chainLen)
-	return b, true, err
-}
-
-func (s *Store) parseSegment(buf []byte, chainLen int) ([]*Bucket, error) {
-	bs := s.cfg.BlockSize
-	buckets := make([]*Bucket, 0, chainLen)
-	for i := 0; i < chainLen; i++ {
-		b, err := UnmarshalBucket(buf[i*bs : (i+1)*bs])
-		if err != nil {
-			return nil, err
-		}
-		buckets = append(buckets, b)
-	}
-	return buckets, nil
-}
-
-// marshalSegment serializes buckets into dst (len(buckets) blocks),
-// refreshing chain metadata and recovery hints.
-func (s *Store) marshalSegment(dst []byte, segID uint32, buckets []*Bucket) error {
-	bs := s.cfg.BlockSize
-	s.seq++
-	for i, b := range buckets {
-		b.SegID = segID
-		b.ChainLen = uint8(len(buckets))
-		b.ChainPos = uint8(i)
-		b.ValHeadHint = s.valLog.Head()
-		b.ValTailHint = s.valLog.Tail()
-		b.Seq = s.seq
-		if err := b.Marshal(dst[i*bs : (i+1)*bs]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sealSegment refreshes every block header of an image edited in place
-// exactly as marshalSegment would for the parsed buckets — chain metadata,
-// recovery hints, one shared sequence number — zeroing each block past its
-// items, and recomputes the CRCs. The result is byte-for-byte what parse,
-// the same edit and marshalSegment produce.
+// sealSegment seals a segment image for its append: every block header gets
+// the chain metadata, the value log's current head and tail as recovery
+// hints and one fresh sequence number, each block is zeroed past its items,
+// and the CRCs are recomputed.
 func (s *Store) sealSegment(segID uint32, img []byte) {
 	bs := s.cfg.BlockSize
 	s.seq++
@@ -269,92 +220,84 @@ func (s *Store) sealSegment(segID uint32, img []byte) {
 	head, tail := s.valLog.Head(), s.valLog.Tail()
 	for i := 0; i < chain; i++ {
 		blk := img[i*bs : (i+1)*bs]
-		clear(blk[itemsEnd(blk):])
+		end, _ := eachItem(blk, nil)
+		clear(blk[end:])
 		sealBucketBlock(blk, segID, uint8(chain), uint8(i), head, tail, s.seq)
 	}
 }
 
-// readImage reads seg's current array into a rented buffer with room for
-// one more block, for editing in place. An empty segment reads as a
-// zero-block image; found reports whether an array existed. The caller
-// returns img with putBuf once any append of it has completed.
+// readImage reads seg's current array, from the home key log or a peer's
+// swap region, into a rented buffer with room for one more block, for
+// editing in place. An empty segment reads as a zero-block image; found
+// reports whether an array existed. The caller returns img with putBuf once
+// any append of it has completed.
 func (s *Store) readImage(p runtime.Task, st *OpStats, seg uint32) (img []byte, found bool, err error) {
 	off, chainLen, ok := s.segs.Lookup(seg)
 	if !ok {
 		return s.getBuf(s.cfg.BlockSize)[:0], false, nil
 	}
 	img = s.getBuf(int(s.segBytes(chainLen + 1)))[:s.segBytes(chainLen)]
-	return img, true, s.readSegmentInto(p, st, seg, off, img)
-}
-
-// findItem locates key in the segment's buckets, charging scan cycles.
-func (s *Store) findItem(p runtime.Task, st *OpStats, buckets []*Bucket, key []byte) (bi, ii int) {
-	scanned := int64(0)
-	for i, b := range buckets {
-		for j := range b.Items {
-			scanned++
-			if string(b.Items[j].Key) == string(key) {
-				s.cpu(p, st, scanned*s.cfg.Costs.ItemScan)
-				return i, j
-			}
+	log := s.keyLog
+	if devID, remote := s.segs.Location(seg); remote {
+		if log, err = s.swapLogOf(devID); err != nil {
+			return img, true, err
 		}
 	}
-	s.cpu(p, st, scanned*s.cfg.Costs.ItemScan)
-	return -1, -1
+	return img, true, s.readLog(p, st, log, off, img)
 }
 
-// Get looks up key and returns a copy of its value (§3.3: SegTbl in DRAM,
-// one key-log access, one value-log access).
-func (s *Store) Get(p runtime.Task, key []byte) ([]byte, OpStats, error) {
-	var st OpStats
-	s.stats.Gets++
-	h := HashKey(key)
-	seg := SegmentOf(h, s.cfg.NumSegments)
-	s.cpu(p, &st, s.cfg.Costs.HashLookup)
-	s.segs.RLock(p, seg)
-	defer s.segs.RUnlock(seg)
-
-	buckets, found, err := s.loadSegment(p, &st, seg)
-	if err != nil {
-		return nil, st, err
-	}
-	if !found {
-		s.stats.NotFounds++
-		return nil, st, ErrNotFound
-	}
-	bi, ii := s.findItem(p, &st, buckets, key)
-	if bi < 0 || buckets[bi].Items[ii].Deleted() {
-		s.stats.NotFounds++
-		return nil, st, ErrNotFound
-	}
-	it := &buckets[bi].Items[ii]
-	entry := make([]byte, ValueEntrySize(len(key), int(it.ValLen)))
-	var ev runtime.Event
-	if it.SSDID == s.cfg.DevID {
-		ev, err = s.valLog.ReadAsync(it.ValOff, entry)
-	} else {
-		peer, found := s.peers[it.SSDID]
-		if !found {
-			return nil, st, fmt.Errorf("%w: unknown swap peer %d", ErrCorrupt, it.SSDID)
+// readValueInto reads the value entry for it into entry, from the home
+// value log or the owning peer's swap region.
+func (s *Store) readValueInto(p runtime.Task, st *OpStats, it *RawItem, entry []byte) error {
+	log := s.valLog
+	if it.SSDID != s.cfg.DevID {
+		var err error
+		if log, err = s.swapLogOf(it.SSDID); err != nil {
+			return err
 		}
-		ev, err = peer.swapLog.ReadAsync(it.ValOff, entry)
 	}
+	return s.readLog(p, st, log, it.ValOff, entry)
+}
+
+// swapLogOf returns the swap region of the co-located store on devID.
+func (s *Store) swapLogOf(devID uint8) (*CircLog, error) {
+	peer, found := s.peers[devID]
+	if !found || peer.swapLog == nil {
+		return nil, fmt.Errorf("%w: no swap region on peer %d", ErrCorrupt, devID)
+	}
+	return peer.swapLog, nil
+}
+
+// readLog reads buf at logical offset off of log, preferring the device's
+// synchronous read path and falling back to the event-based one.
+func (s *Store) readLog(p runtime.Task, st *OpStats, log *CircLog, off int64, buf []byte) error {
+	if done, err := log.ReadNow(off, buf); done {
+		st.Reads++
+		return err
+	}
+	ev, err := log.ReadAsync(off, buf)
 	if err != nil {
-		return nil, st, err
+		return err
 	}
 	st.Reads++
-	if err := s.ssdWait(p, &st, ev); err != nil {
-		return nil, st, err
+	return s.ssdWait(p, st, ev)
+}
+
+// locate checks a segment image and finds key in it, charging the items
+// compared as ItemScan cycles; see findItem.
+func (s *Store) locate(p runtime.Task, st *OpStats, img, key []byte) (b []byte, at int, it RawItem, err error) {
+	bs := s.cfg.BlockSize
+	if err := checkImage(img, bs); err != nil {
+		return nil, -1, it, err
 	}
-	s.cpu(p, &st, s.cfg.Costs.ValueParse)
-	ekey, eval, _, err := ParseValueEntry(entry)
-	if err != nil {
-		return nil, st, err
-	}
-	if string(ekey) != string(key) {
-		return nil, st, fmt.Errorf("%w: value entry key mismatch", ErrCorrupt)
-	}
-	return append([]byte(nil), eval...), st, nil
+	b, at, it, scanned := findItem(img, bs, key)
+	s.cpu(p, st, scanned*s.cfg.Costs.ItemScan)
+	return b, at, it, nil
+}
+
+// Get looks up key and returns a copy of its value.
+func (s *Store) Get(p runtime.Task, key []byte) ([]byte, OpStats, error) {
+	return s.GetInto(p, key, nil)
 }
 
 // getBuf rents an n-byte buffer from the store's free list (single-owner:
@@ -383,103 +326,34 @@ func (s *Store) putBuf(b []byte) {
 	s.bufFree = append(s.bufFree, b[:0])
 }
 
-// readSegmentInto reads a segment's array into buf from wherever it lives
-// (home key log or a peer's swap region), preferring the device's
-// synchronous read path and falling back to the event-based one.
-func (s *Store) readSegmentInto(p runtime.Task, st *OpStats, seg uint32, off int64, buf []byte) error {
-	log := s.keyLog
-	if devID, remote := s.segs.Location(seg); remote {
-		peer, found := s.peers[devID]
-		if !found || peer.swapLog == nil {
-			return fmt.Errorf("%w: swapped segment on unknown peer %d", ErrCorrupt, devID)
-		}
-		log = peer.swapLog
-	}
-	if done, err := log.ReadNow(off, buf); done {
-		st.Reads++
-		return err
-	}
-	ev, err := log.ReadAsync(off, buf)
-	if err != nil {
-		return err
-	}
-	st.Reads++
-	return s.ssdWait(p, st, ev)
-}
-
-// readValueInto reads the value entry for it into entry, from the home
-// value log or the owning peer's swap region.
-func (s *Store) readValueInto(p runtime.Task, st *OpStats, it *RawItem, entry []byte) error {
-	log := s.valLog
-	if it.SSDID != s.cfg.DevID {
-		peer, found := s.peers[it.SSDID]
-		if !found {
-			return fmt.Errorf("%w: unknown swap peer %d", ErrCorrupt, it.SSDID)
-		}
-		log = peer.swapLog
-	}
-	if done, err := log.ReadNow(it.ValOff, entry); done {
-		st.Reads++
-		return err
-	}
-	ev, err := log.ReadAsync(it.ValOff, entry)
-	if err != nil {
-		return err
-	}
-	st.Reads++
-	return s.ssdWait(p, st, ev)
-}
-
-// GetInto is the allocation-free Get: it looks up key and appends the value
-// to dst, returning the extended slice. Where Get materializes every bucket
-// (UnmarshalBucket copies each block's item area) and a fresh value entry,
-// GetInto scans the serialized segment array in place from a recycled
-// buffer and reads the value entry into a second recycled buffer. Costs are charged identically to Get —
-// same hash/scan/parse cycles, same device reads in the same order — so the
-// two paths are interchangeable to the simulator's accounting; the only
-// behavioral difference is that blocks past the matching one are not
-// CRC-verified. The returned slice never aliases store-owned memory.
+// GetInto looks up key and appends its value to dst, returning the
+// extended slice (§3.3: SegTbl in DRAM, one key-log access, one value-log
+// access). The segment array and the value entry are read into buffers
+// rented from the store's free list; every block of the array is checked,
+// as PUT and DEL check them, before the key is looked up. The returned
+// slice never aliases store-owned memory.
 func (s *Store) GetInto(p runtime.Task, key, dst []byte) ([]byte, OpStats, error) {
 	var st OpStats
 	s.stats.Gets++
-	h := HashKey(key)
-	seg := SegmentOf(h, s.cfg.NumSegments)
+	seg := SegmentOf(HashKey(key), s.cfg.NumSegments)
 	s.cpu(p, &st, s.cfg.Costs.HashLookup)
 	s.segs.RLock(p, seg)
 	defer s.segs.RUnlock(seg)
 
-	off, chainLen, ok := s.segs.Lookup(seg)
-	if !ok {
+	img, found, err := s.readImage(p, &st, seg)
+	defer s.putBuf(img)
+	if err != nil {
+		return dst, st, err
+	}
+	if !found {
 		s.stats.NotFounds++
 		return dst, st, ErrNotFound
 	}
-	segBuf := s.getBuf(int(s.segBytes(chainLen)))
-	defer s.putBuf(segBuf)
-	if err := s.readSegmentInto(p, &st, seg, off, segBuf); err != nil {
+	_, _, it, err := s.locate(p, &st, img, key)
+	if err != nil {
 		return dst, st, err
 	}
-
-	bs := s.cfg.BlockSize
-	var (
-		it      RawItem
-		scanned int64
-		found   bool
-	)
-	for i := 0; i < chainLen && !found; i++ {
-		blk := segBuf[i*bs : (i+1)*bs]
-		if err := VerifyBucketBlock(blk); err != nil {
-			return dst, st, err
-		}
-		var n int
-		var err error
-		it, n, found, err = ScanBucketBlock(blk, key)
-		scanned += int64(n)
-		if err != nil {
-			return dst, st, err
-		}
-	}
-	s.cpu(p, &st, scanned*s.cfg.Costs.ItemScan)
-	if !found || it.Deleted() {
+	if it.Deleted() {
 		s.stats.NotFounds++
 		return dst, st, ErrNotFound
 	}
@@ -577,7 +451,7 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 	// Segment read overlapped with the value write, from wherever the array
 	// currently lives. On a SyncReader device the read completes inline and
 	// the value write's flush runs when this task parks on valEv.
-	img, found, err := s.readImage(p, st, seg)
+	img, _, err := s.readImage(p, st, seg)
 	defer s.putBuf(img)
 	if werr := s.ssdWait(p, st, valEv); err == nil {
 		err = werr
@@ -585,19 +459,17 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 	if err != nil {
 		return err
 	}
-	bs := s.cfg.BlockSize
-	blk, at, scanned, err := locateItem(img, bs, key)
+	b, at, old, err := s.locate(p, st, img, key)
 	if err != nil {
 		return err
 	}
-	s.cpu(p, st, scanned*s.cfg.Costs.ItemScan)
 	s.cpu(p, st, s.cfg.Costs.BucketEdit)
 
 	// Update or insert the item, patching the image in place.
+	bs := s.cfg.BlockSize
 	newItem := RawItem{ValLen: uint32(len(val)), ValOff: valOff, SSDID: ssdID}
-	if blk >= 0 {
-		b := img[blk*bs : (blk+1)*bs]
-		if old := itemAt(b, at); old.Deleted() {
+	if b != nil {
+		if old.Deleted() {
 			s.stats.Objects++
 		} else {
 			s.accountDeadValue(old, len(key))
@@ -613,7 +485,7 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 			chain := len(img) / bs
 			if chain >= s.cfg.MaxChain {
 				s.stats.SegmentFull++
-				s.accountDeadValueBytes(int64(len(entry))) // orphaned value append
+				s.valGarbage += int64(len(entry)) // orphaned value append
 				return ErrSegmentFull
 			}
 			img = img[:(chain+1)*bs]
@@ -629,16 +501,13 @@ func (s *Store) tryPut(p runtime.Task, st *OpStats, key, val []byte, helper *Sto
 		s.pendingSwaps[seg] = struct{}{}
 		s.stats.SwappedPuts++
 	}
-	s.sealSegment(seg, img)
-	return s.appendSegment(p, st, seg, img, found, helper)
+	return s.appendSegment(p, st, seg, img, helper)
 }
 
-// releaseOldSegment accounts the previous array as dead: key-log garbage
-// when it lived at home, a reclaimable swap entry when it lived on a peer.
-func (s *Store) releaseOldSegment(seg uint32, hadOld bool) {
-	if !hadOld {
-		return
-	}
+// releaseOldSegment accounts the segment's current array, if any, as dead:
+// key-log garbage when it lived at home, a reclaimable swap entry when it
+// lived on a peer. The caller holds the segment's lock.
+func (s *Store) releaseOldSegment(seg uint32) {
 	off, oldChain, ok := s.segs.Lookup(seg)
 	if !ok {
 		return
@@ -650,24 +519,15 @@ func (s *Store) releaseOldSegment(seg uint32, hadOld bool) {
 	}
 }
 
-// writeSegment serializes buckets into a rented image and appends it to
-// the home key log, replacing the segment's previous array.
-func (s *Store) writeSegment(p runtime.Task, st *OpStats, seg uint32, buckets []*Bucket) error {
-	img := s.getBuf(int(s.segBytes(len(buckets))))
-	defer s.putBuf(img)
-	if err := s.marshalSegment(img, seg, buckets); err != nil {
-		return err
-	}
-	return s.appendSegment(p, st, seg, img, true, nil)
-}
-
-// appendSegment appends a sealed segment image and updates the SegTbl.
-// hadOld reports that a previous array exists; it becomes garbage wherever
-// it lived. A non-nil helper redirects the array into the helper's swap
+// appendSegment seals a segment image, appends it and updates the SegTbl.
+// Every writer of an array ends here, so each array is sealed right before
+// its append. The previous array, if any, becomes garbage wherever it
+// lived. A non-nil helper redirects the array into the helper's swap
 // region instead of the home key log (§3.6's full write swapping). img is
 // the log's until the append completes, which appendSegment waits for on
 // every path that issued it.
-func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byte, hadOld bool, helper *Store) error {
+func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byte, helper *Store) error {
+	s.sealSegment(seg, img)
 	chainLen := len(img) / s.cfg.BlockSize
 	s.cpu(p, st, s.cfg.Costs.AppendBook)
 	if helper != nil && helper != s {
@@ -679,7 +539,7 @@ func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byt
 		if err := s.ssdWait(p, st, ev); err != nil {
 			return err
 		}
-		s.releaseOldSegment(seg, hadOld)
+		s.releaseOldSegment(seg)
 		s.segs.SetRemote(seg, newOff, chainLen, helper.cfg.DevID)
 		s.pendingSwaps[seg] = struct{}{}
 		return nil
@@ -698,7 +558,7 @@ func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byt
 		}
 		return err
 	}
-	s.releaseOldSegment(seg, hadOld)
+	s.releaseOldSegment(seg)
 	s.segs.Set(seg, newOff, chainLen)
 	return nil
 }
@@ -706,15 +566,13 @@ func (s *Store) appendSegment(p runtime.Task, st *OpStats, seg uint32, img []byt
 func (s *Store) accountDeadValue(old RawItem, keyLen int) {
 	s.stats.LiveValBytes -= int64(old.ValLen)
 	if old.SSDID == s.cfg.DevID {
-		s.accountDeadValueBytes(int64(ValueEntrySize(keyLen, int(old.ValLen))))
+		s.valGarbage += int64(ValueEntrySize(keyLen, int(old.ValLen)))
 	} else {
 		// The dead copy lives in a peer's swap region; let the peer
 		// reclaim it.
 		s.releaseSwapRef(old.SSDID, old.ValOff)
 	}
 }
-
-func (s *Store) accountDeadValueBytes(n int64) { s.valGarbage += n }
 
 // Del marks key deleted (§3.3: only the key log is touched; the value
 // length field becomes zero as the deletion marker). Like a PUT, it edits
@@ -737,18 +595,10 @@ func (s *Store) Del(p runtime.Task, key []byte) (OpStats, error) {
 		s.stats.NotFounds++
 		return st, ErrNotFound
 	}
-	bs := s.cfg.BlockSize
-	blk, at, scanned, err := locateItem(img, bs, key)
+	b, at, old, err := s.locate(p, &st, img, key)
 	if err != nil {
 		return st, err
 	}
-	s.cpu(p, &st, scanned*s.cfg.Costs.ItemScan)
-	if blk < 0 {
-		s.stats.NotFounds++
-		return st, ErrNotFound
-	}
-	b := img[blk*bs : (blk+1)*bs]
-	old := itemAt(b, at)
 	if old.Deleted() {
 		s.stats.NotFounds++
 		return st, ErrNotFound
@@ -757,8 +607,7 @@ func (s *Store) Del(p runtime.Task, key []byte) (OpStats, error) {
 	setItemAt(b, at, RawItem{SSDID: s.cfg.DevID})
 	s.stats.Objects--
 	s.cpu(p, &st, s.cfg.Costs.BucketEdit)
-	s.sealSegment(seg, img)
-	err = s.appendSegment(p, &st, seg, img, true, nil)
+	err = s.appendSegment(p, &st, seg, img, nil)
 	return st, err
 }
 
@@ -771,60 +620,50 @@ func (s *Store) Range(p runtime.Task, fn func(key, val []byte) bool) error {
 	var st OpStats
 	for seg := uint32(0); int(seg) < s.cfg.NumSegments; seg++ {
 		s.segs.Lock(p, seg)
-		buckets, found, err := s.loadSegment(p, &st, seg)
+		pairs, err := s.liveObjects(p, &st, seg)
+		s.segs.Unlock(seg)
 		if err != nil {
-			s.segs.Unlock(seg)
 			return err
 		}
-		if !found {
-			s.segs.Unlock(seg)
-			continue
-		}
-		type kv struct{ key, val []byte }
-		var pairs []kv
-		for _, b := range buckets {
-			for i := range b.Items {
-				it := &b.Items[i]
-				if it.Deleted() {
-					continue
-				}
-				entry := make([]byte, ValueEntrySize(len(it.Key), int(it.ValLen)))
-				var ev runtime.Event
-				var rerr error
-				if it.SSDID == s.cfg.DevID {
-					ev, rerr = s.valLog.ReadAsync(it.ValOff, entry)
-				} else if peer, found := s.peers[it.SSDID]; found {
-					ev, rerr = peer.swapLog.ReadAsync(it.ValOff, entry)
-				} else {
-					rerr = fmt.Errorf("%w: unknown swap peer %d", ErrCorrupt, it.SSDID)
-				}
-				if rerr != nil {
-					s.segs.Unlock(seg)
-					return rerr
-				}
-				if err := s.ssdWait(p, &st, ev); err != nil {
-					s.segs.Unlock(seg)
-					return err
-				}
-				ekey, eval, _, perr := ParseValueEntry(entry)
-				if perr != nil {
-					s.segs.Unlock(seg)
-					return perr
-				}
-				pairs = append(pairs, kv{
-					key: append([]byte(nil), ekey...),
-					val: append([]byte(nil), eval...),
-				})
-			}
-		}
-		s.segs.Unlock(seg)
-		for _, pr := range pairs {
-			if !fn(pr.key, pr.val) {
+		for i := 0; i < len(pairs); i += 2 {
+			if !fn(pairs[i], pairs[i+1]) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// liveObjects reads the live objects of seg, under its lock, as
+// alternating key and value copies.
+func (s *Store) liveObjects(p runtime.Task, st *OpStats, seg uint32) ([][]byte, error) {
+	img, _, err := s.readImage(p, st, seg)
+	defer s.putBuf(img)
+	bs := s.cfg.BlockSize
+	if err == nil {
+		err = checkImage(img, bs)
+	}
+	var pairs [][]byte
+	for i := 0; i < len(img) && err == nil; i += bs {
+		blk := img[i : i+bs]
+		eachItem(blk, func(at int) bool {
+			it := itemAt(blk, at)
+			if it.Deleted() {
+				return true
+			}
+			entry := make([]byte, ValueEntrySize(int(blk[at]), int(it.ValLen)))
+			if err = s.readValueInto(p, st, &it, entry); err != nil {
+				return false
+			}
+			var key, val []byte
+			if key, val, _, err = ParseValueEntry(entry); err != nil {
+				return false
+			}
+			pairs = append(pairs, key[:len(key):len(key)], val)
+			return true
+		})
+	}
+	return pairs, err
 }
 
 // NeedsValueCompaction reports whether the value log crossed the trigger.

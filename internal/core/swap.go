@@ -81,7 +81,12 @@ func (s *Store) mergebackSegment(p runtime.Task, seg uint32) (int, error) {
 	s.segs.Lock(p, seg)
 	defer s.segs.Unlock(seg)
 
-	buckets, found, err := s.loadSegment(p, &st, seg)
+	img, found, err := s.readImage(p, &st, seg)
+	defer s.putBuf(img)
+	bs := s.cfg.BlockSize
+	if err == nil {
+		err = checkImage(img, bs)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -89,46 +94,27 @@ func (s *Store) mergebackSegment(p runtime.Task, seg uint32) (int, error) {
 		delete(s.pendingSwaps, seg)
 		return 0, nil
 	}
+	// Move every swapped value home, patching its item in place.
 	merged := 0
-	for _, b := range buckets {
-		for i := range b.Items {
-			it := &b.Items[i]
-			if it.Deleted() || it.SSDID == s.cfg.DevID {
-				continue
+	for i := 0; i < len(img) && err == nil; i += bs {
+		blk := img[i : i+bs]
+		eachItem(blk, func(at int) bool {
+			var moved bool
+			moved, err = s.mergeItem(p, &st, blk, at)
+			if moved {
+				merged++
 			}
-			peer, found := s.peers[it.SSDID]
-			if !found || peer.swapLog == nil {
-				return merged, fmt.Errorf("%w: swap peer %d missing", ErrCorrupt, it.SSDID)
-			}
-			entry := make([]byte, ValueEntrySize(len(it.Key), int(it.ValLen)))
-			ev, rerr := peer.swapLog.ReadAsync(it.ValOff, entry)
-			if rerr != nil {
-				return merged, rerr
-			}
-			if err := s.ssdWait(p, &st, ev); err != nil {
-				return merged, err
-			}
-			newOff, aev, aerr := s.valLog.Append(entry)
-			if aerr != nil {
-				return merged, aerr // out of space: retry after compaction
-			}
-			if err := s.ssdWait(p, &st, aev); err != nil {
-				return merged, err
-			}
-			oldOff := it.ValOff
-			it.ValOff = newOff
-			it.SSDID = s.cfg.DevID
-			peer.SwapMerged(oldOff)
-			merged++
-			s.stats.MergedSwaps++
-			s.cpu(p, &st, s.cfg.Costs.CompactItem)
-		}
+			return err == nil
+		})
+	}
+	if err != nil {
+		return merged, err
 	}
 	// Rewrite the array at home when values moved or the array itself is
 	// still living in a peer's swap region.
 	_, remote := s.segs.Location(seg)
 	if merged > 0 || remote {
-		if err := s.writeSegment(p, &st, seg, buckets); err != nil {
+		if err := s.appendSegment(p, &st, seg, img, nil); err != nil {
 			return merged, err
 		}
 		if remote {
@@ -138,6 +124,33 @@ func (s *Store) mergebackSegment(p runtime.Task, seg uint32) (int, error) {
 	}
 	delete(s.pendingSwaps, seg)
 	return merged, nil
+}
+
+// mergeItem moves the value of the item at byte offset at of blk from a
+// peer's swap region into the home value log and patches the item. It
+// reports whether the value moved; home values and deletion markers stay.
+func (s *Store) mergeItem(p runtime.Task, st *OpStats, blk []byte, at int) (bool, error) {
+	it := itemAt(blk, at)
+	if it.Deleted() || it.SSDID == s.cfg.DevID {
+		return false, nil
+	}
+	entry := s.getBuf(ValueEntrySize(int(blk[at]), int(it.ValLen)))
+	defer s.putBuf(entry)
+	if err := s.readValueInto(p, st, &it, entry); err != nil {
+		return false, err
+	}
+	newOff, ev, err := s.valLog.Append(entry)
+	if err != nil {
+		return false, err // out of space: retry after compaction
+	}
+	if err := s.ssdWait(p, st, ev); err != nil {
+		return false, err
+	}
+	setItemAt(blk, at, RawItem{ValLen: it.ValLen, ValOff: newOff, SSDID: s.cfg.DevID})
+	s.releaseSwapRef(it.SSDID, it.ValOff)
+	s.stats.MergedSwaps++
+	s.cpu(p, st, s.cfg.Costs.CompactItem)
+	return true, nil
 }
 
 // SwapBacklog returns the number of segments awaiting swap merge-back.

@@ -435,20 +435,15 @@ func (e *Engine) Execute(p runtime.Task, pid int, op rpcproto.Op, key, val []byt
 // (admission wait vs store execution) plus the store's CPU/SSD split are
 // attributed to it.
 func (e *Engine) ExecuteTraced(p runtime.Task, pid int, op rpcproto.Op, key, val []byte, tr *obs.Trace) ([]byte, core.OpStats, error) {
-	return e.executeTraced(p, pid, op, key, val, nil, false, tr)
+	return e.ExecuteTracedInto(p, pid, op, key, val, nil, tr)
 }
 
 // ExecuteTracedInto is ExecuteTraced for the allocation-free serve path: a
-// GET's value is appended to dst (which may be nil) via Store.GetInto and
-// the extended slice returned, instead of materializing a fresh copy. Other
-// ops ignore dst and behave exactly as ExecuteTraced. The returned slice
-// never aliases store-owned memory, so the caller may reuse dst freely
-// between requests.
+// GET's value is appended to dst (which may be nil; ExecuteTraced passes
+// nil) via Store.GetInto and the extended slice returned. Other ops ignore
+// dst. The returned slice never aliases store-owned memory, so the caller
+// may reuse dst freely between requests.
 func (e *Engine) ExecuteTracedInto(p runtime.Task, pid int, op rpcproto.Op, key, val, dst []byte, tr *obs.Trace) ([]byte, core.OpStats, error) {
-	return e.executeTraced(p, pid, op, key, val, dst, true, tr)
-}
-
-func (e *Engine) executeTraced(p runtime.Task, pid int, op rpcproto.Op, key, val, dst []byte, into bool, tr *obs.Trace) ([]byte, core.OpStats, error) {
 	if pid < 0 || pid >= len(e.parts) {
 		return nil, core.OpStats{}, fmt.Errorf("engine: no partition %d", pid)
 	}
@@ -499,11 +494,7 @@ func (e *Engine) executeTraced(p runtime.Task, pid int, op rpcproto.Op, key, val
 	var err error
 	switch op {
 	case rpcproto.OpGet:
-		if into {
-			v, st, err = pt.Store.GetInto(p, key, dst)
-		} else {
-			v, st, err = pt.Store.Get(p, key)
-		}
+		v, st, err = pt.Store.GetInto(p, key, dst)
 	case rpcproto.OpPut, rpcproto.OpCopy:
 		st, err = pt.Store.Put(p, key, val)
 	case rpcproto.OpDel:
